@@ -8,7 +8,7 @@
 // BP, delayed AlltoAllv under the next step's FP) is directly visible.
 //
 // Usage:
-//   trace_explorer [workers] [steps] [strategy] [tables] \
+//   trace_explorer [workers] [steps] [strategy] [tables]
 //                  [drop_prob] [delay_us] [timeout_ms]
 //     workers:   rank count                      (default 4)
 //     steps:     training steps                  (default 6)
@@ -130,13 +130,14 @@ int main(int argc, char** argv) {
               snap.histograms.size());
   for (const char* key :
        {"fabric.send.bytes", "comm.bytes{collective=allreduce}",
+        "comm.bytes{collective=allreduce_chunked}",
         "comm.bytes{collective=alltoallv}", "vertical.prior_rows",
         "vertical.delayed_rows", "sched.ops_executed", "sched.ops_failed",
         "fabric.dropped", "fabric.duplicated", "fabric.retries",
         "comm.timeouts", "trainer.aborts"}) {
     const auto it = snap.counters.find(key);
     if (it != snap.counters.end()) {
-      std::printf("  %-36s %lld\n", key,
+      std::printf("  %-42s %lld\n", key,
                   static_cast<long long>(it->second));
     }
   }

@@ -46,11 +46,8 @@ void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
   EMBRACE_CHECK(g.world != nullptr);
   Communicator& world = *g.world;
   if (!g.two_level() || data.empty()) {
-    if (codec != nullptr && !data.empty()) {
-      allreduce_chunked(world, data, chunk_bytes, op, codec);
-    } else {
-      world.allreduce(data, op);
-    }
+    allreduce_chunked(world, data, chunk_bytes, op,
+                      data.empty() ? nullptr : codec);
     return;
   }
   Communicator& node = *g.node;
@@ -81,11 +78,7 @@ void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
     // Stage 2: inter-node ring AllReduce of the full node sums across the
     // leaders — the only stage that touches the expensive tier, and hence
     // the only one a wire codec compresses.
-    if (codec != nullptr) {
-      allreduce_chunked(*g.leaders, data, chunk_bytes, op, codec);
-    } else {
-      g.leaders->allreduce(data, op);
-    }
+    allreduce_chunked(*g.leaders, data, chunk_bytes, op, codec);
   }
 
   // Stage 3: fan the finished vector back out within the node. This also

@@ -42,9 +42,9 @@ namespace embrace::comm {
 // schedule exists to protect, while the intra-node reduce/broadcast stages
 // stay exact so a node's ranks agree bitwise by construction. Every rank
 // must pass an equivalent codec; lossy codecs make the result approximate
-// (pair with error feedback, comm/codec.h). `chunk_bytes` sizes the
-// compressed stage's wire slices (<= 0: one slice per ring step); it is
-// ignored without a codec, where the stages keep their monolithic wire.
+// (pair with error feedback, comm/codec.h). `chunk_bytes` sizes the wire
+// slices of the leader stage and of the flat fallback, codec or not (<= 0:
+// one slice per ring step); the intra-node stages keep whole-block wire.
 void hierarchical_allreduce(CommGroup& g, std::span<float> data,
                             ReduceOp op = ReduceOp::kSum,
                             const Codec* codec = nullptr,

@@ -10,7 +10,7 @@
 #include "data/corpus.h"
 #include "nn/heads.h"
 #include "obs/perf.h"
-#include "sched/comm_scheduler.h"
+#include "sched/scheduler.h"
 
 namespace embrace::core {
 
@@ -155,12 +155,6 @@ struct TrainConfig {
   // at most this many bytes and one collective carries each bucket
   // (0 = one op per tensor).
   int64_t fusion_bytes = 0;
-
-  // REMOVED: the deprecated dense_fusion_bytes spelling is gone;
-  // fusion_bytes is the only knob. The tombstone stays one more release so
-  // stale configs fail validate() with a pointer to the rename instead of
-  // silently losing their fusion budget.
-  int64_t dense_fusion_bytes = 0;
 
   // Hot-row embedding cache (DESIGN.md §15), hybrid strategies only
   // (kEmbRace / kEmbRaceNoVss). cache_frac > 0 layers a per-rank replica

@@ -280,10 +280,12 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     comm_group.emplace(comm::build_comm_group(comm_ch));
   }
   comm::CommGroup* grp = comm_group.has_value() ? &*comm_group : nullptr;
+  // Dense AllReduce takes the two-level route only with chunking off: the
+  // chunked cursor stays on the flat ring, because chunk-granular
+  // preemption across topology tiers is not implemented.
+  const bool two_level_dense =
+      cfg.chunk_bytes <= 0 && grp != nullptr && grp->two_level();
   sched::NegotiatedScheduler scheduler(comm.channel(kControlChannel));
-  // All submissions go through the shared Scheduler interface; only the
-  // lifecycle calls (shutdown/abort) are NegotiatedScheduler-specific.
-  sched::Scheduler& sch = scheduler;
   // Sparse-algorithm picker for kHorovodAllGather's embedding gradients
   // (DESIGN.md §12). Cost params are fixed for the whole run and must be
   // identical on every rank (a split-brain algorithm choice deadlocks the
@@ -388,6 +390,15 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                              : 0.0;
     }
     return codec_policy->choose(t, mean_abs);
+  };
+  // Folds table t's error-feedback residual into `g` ahead of a lossy
+  // encode, coalescing first so the residual stays row-aligned. A no-op
+  // without a lossy codec. Runs on the thread of whichever call site owns
+  // the table's exchange.
+  auto apply_sparse_ef = [&](int t, SparseRows& g, const comm::Codec* codec) {
+    if (!use_ef || codec == nullptr || codec->lossless()) return;
+    g = g.coalesced();
+    sparse_ef[static_cast<size_t>(t)].apply(g, *codec);
   };
   uint64_t fifo_seq = 0;
   auto fifo_priority = [&] { return Priorities::fifo(fifo_seq++); };
@@ -522,7 +533,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         // ("Emb Data"), ordered after the previous step's prior/delayed ops —
         // the dependency the paper's Figure 6(c) encodes.
         for (int t = 0; t < tables; ++t) {
-          handles.push_back(sch.submit(
+          handles.push_back(scheduler.submit(
               make_desc(emb_op("embdata", step, t),
                         fifo ? fifo_priority() : Priorities::embdata(step, t),
                         static_cast<int64_t>(seg.ids[t].size()) * cfg.dim *
@@ -576,13 +587,14 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     const int64_t fusion_bytes = cfg.fusion_bytes;
     std::vector<sched::Handle> dense_handles;
     // Submits one dense transfer over `flat` (filled lazily by `prepare`
-    // on the first quantum, finished by `finish` after the last). With
-    // chunk_bytes > 0 the transfer runs as ChunkedAllReduce quanta, so
-    // higher-priority sparse ops preempt it at chunk boundaries; the
-    // result is bitwise-identical to the monolithic path either way.
-    // `ef_key` is the stable per-transfer id for error-feedback residuals
-    // (parameter index or fusion-bucket index — the same buffer must meet
-    // the same gradient next step, so it cannot be step-scoped).
+    // on the first quantum, finished by `finish` after the last). The
+    // transfer is a ChunkedAllReduce cursor: with chunk_bytes > 0 each
+    // quantum is its own negotiated slice, so higher-priority sparse ops
+    // preempt it at chunk boundaries; with chunking off the whole ring is
+    // one slice (one leader announcement). The result is bitwise-identical
+    // either way. `ef_key` is the stable per-transfer id for error-feedback
+    // residuals (parameter index or fusion-bucket index — the same buffer
+    // must meet the same gradient next step, so it cannot be step-scoped).
     auto submit_dense = [&](std::string name, double priority, int64_t ef_key,
                             int64_t elems,
                             std::function<std::span<float>()> prepare,
@@ -600,55 +612,39 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           return flat;
         };
       }
-      if (cfg.chunk_bytes <= 0) {
-        // Monolithic transfers take the two-level path when a topology is
-        // configured. The chunked path below stays on the flat ring:
-        // chunk-granular preemption and two-level bracketing are orthogonal
-        // schedules and combining them is an open ROADMAP item. With a
-        // codec active the flat path rides the chunked ring at chunk 0
-        // (one slice per step, encoded wire); without one it keeps the
-        // legacy monolithic collective byte-for-byte.
-        return sch.submit(std::move(desc),
-                          [&comm_ch, grp, dense_codec,
-                           chunk_bytes = cfg.chunk_bytes,
-                           prepare = std::move(prepare),
-                           finish = std::move(finish)] {
-                            std::span<float> flat = prepare();
-                            if (grp != nullptr && grp->two_level()) {
-                              comm::hierarchical_allreduce(
-                                  *grp, flat, comm::ReduceOp::kSum,
-                                  dense_codec, chunk_bytes);
-                            } else if (dense_codec != nullptr) {
-                              comm::allreduce_chunked(comm_ch, flat,
-                                                      chunk_bytes,
-                                                      comm::ReduceOp::kSum,
-                                                      dense_codec);
-                            } else {
-                              comm_ch.allreduce(flat);
-                            }
-                            finish();
-                          });
+      if (two_level_dense) {
+        return scheduler.submit(
+            std::move(desc), [grp, dense_codec, prepare = std::move(prepare),
+                              finish = std::move(finish)] {
+              comm::hierarchical_allreduce(*grp, prepare(),
+                                           comm::ReduceOp::kSum, dense_codec);
+              finish();
+            });
       }
-      const int64_t slices = comm::ChunkedAllReduce::num_quanta(
-          elems, workers, cfg.chunk_bytes);
-      struct Cursor {
-        std::optional<comm::ChunkedAllReduce> ar;
-      };
-      auto cursor = std::make_shared<Cursor>();
-      return sch.submit(
+      const int64_t slices =
+          cfg.chunk_bytes > 0
+              ? comm::ChunkedAllReduce::num_quanta(elems, workers,
+                                                   cfg.chunk_bytes)
+              : 1;
+      auto cursor = std::make_shared<std::optional<comm::ChunkedAllReduce>>();
+      return scheduler.submit(
           std::move(desc), slices,
           [&comm_ch, cursor, slices, chunk_bytes = cfg.chunk_bytes,
            dense_codec, prepare = std::move(prepare),
            finish = std::move(finish)](int64_t i) {
             if (i == 0) {
-              cursor->ar.emplace(comm_ch, prepare(), chunk_bytes,
-                                 comm::ReduceOp::kSum, dense_codec);
+              cursor->emplace(comm_ch, prepare(), chunk_bytes,
+                              comm::ReduceOp::kSum, dense_codec);
             }
-            cursor->ar->run_quantum(i);
-            if (i + 1 == slices) {
-              cursor->ar.reset();
-              finish();
+            if (i + 1 < slices) {
+              (*cursor)->run_quantum(i);
+              return;
             }
+            // The final slice runs whatever remains: the whole ring when
+            // chunking is off.
+            (*cursor)->run_all();
+            cursor->reset();
+            finish();
           });
     };
     // Everything from here to the waits below is comm *issue* work:
@@ -716,29 +712,21 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           static_cast<int64_t>(my_grad.packed_byte_size());
       switch (cfg.strategy) {
         case StrategyKind::kHorovodAllReduce: {
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         my_grad.dense_byte_size(), sched::OpKind::kOther),
               [&, t, my_grad] {
                 // Dense-format aggregation of the (sparse) gradient, with
                 // the wire codec on the ring when one is configured (error
-                // feedback first, on the coalesced sparse form, so the
-                // residual stays row-aligned).
+                // feedback first, on the sparse form).
                 const comm::Codec* codec =
                     choose_table_codec(comm_ch, t, my_grad);
                 SparseRows g = my_grad;
-                if (use_ef && codec != nullptr && !codec->lossless()) {
-                  g = g.coalesced();
-                  sparse_ef[static_cast<size_t>(t)].apply(g, *codec);
-                }
+                apply_sparse_ef(t, g, codec);
                 Tensor dense = g.to_dense();
-                if (codec != nullptr) {
-                  comm::allreduce_chunked(comm_ch, dense.flat(),
-                                          cfg.chunk_bytes,
-                                          comm::ReduceOp::kSum, codec);
-                } else {
-                  comm_ch.allreduce(dense.flat());
-                }
+                comm::allreduce_chunked(comm_ch, dense.flat(),
+                                        cfg.chunk_bytes, comm::ReduceOp::kSum,
+                                        codec);
                 const auto rows = unique_sorted(flatten(
                     PartitionedEmbedding::allgather_ids(comm_ch,
                                                         seg.ids[t])));
@@ -749,7 +737,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           break;
         }
         case StrategyKind::kHorovodAllGather: {
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         grad_bytes, sched::OpKind::kOther),
               [&, t, my_grad] {
@@ -790,10 +778,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                 const sparse::AlgoChoice choice = algo_picker->choose(
                     est, cfg.vocab, cfg.dim, workers);
                 SparseRows g = my_grad;
-                if (use_ef && codec != nullptr && !codec->lossless()) {
-                  g = g.coalesced();
-                  sparse_ef[static_cast<size_t>(t)].apply(g, *codec);
-                }
+                apply_sparse_ef(t, g, codec);
                 SparseRows total =
                     grp != nullptr
                         ? comm::sparse_allreduce(*grp, g, choice.algo,
@@ -808,7 +793,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           break;
         }
         case StrategyKind::kParallaxPs: {
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         grad_bytes, sched::OpKind::kOther),
               [&, t, my_grad] { shared.ps[t]->push_sparse(my_grad); }));
@@ -817,7 +802,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
         case StrategyKind::kBytePsDense: {
           // ByteScheduler priority: the embedding is what the next FP needs
           // first, so its (dense-format) push jumps the dense-block queue.
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t),
                         Priorities::prior(step, t), my_grad.dense_byte_size(),
                         sched::OpKind::kSparsePrior),
@@ -831,11 +816,8 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           // (adaptive mode allreduces the |grad| mass on main_ch, like the
           // id exchange above); the wire work runs on the comm thread.
           const comm::Codec* codec = choose_table_codec(main_ch, t, my_grad);
-          if (use_ef && codec != nullptr && !codec->lossless()) {
-            my_grad = my_grad.coalesced();
-            sparse_ef[static_cast<size_t>(t)].apply(my_grad, *codec);
-          }
-          emb_handles.push_back(sch.submit(
+          apply_sparse_ef(t, my_grad, codec);
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("embgrad", step, t), fifo_priority(),
                         grad_bytes, sched::OpKind::kOther),
               [&, t, my_grad, codec] {
@@ -857,10 +839,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           // on the wire is idempotent, so the split adds no extra error and
           // the modified-Adam prior/delayed sequencing is untouched).
           const comm::Codec* codec = choose_table_codec(main_ch, t, my_grad);
-          if (use_ef && codec != nullptr && !codec->lossless()) {
-            my_grad = my_grad.coalesced();
-            sparse_ef[static_cast<size_t>(t)].apply(my_grad, *codec);
-          }
+          apply_sparse_ef(t, my_grad, codec);
           // Algorithm 1 on the GPU-idle window after BP, per table.
           auto split = sched::vertical_sparse_schedule(
               my_grad, seg.ids[t], flatten(all_next[t]));
@@ -868,7 +847,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
               static_cast<int64_t>(split.prior.packed_byte_size());
           const int64_t delayed_bytes =
               static_cast<int64_t>(split.delayed.packed_byte_size());
-          emb_handles.push_back(sch.submit(
+          emb_handles.push_back(scheduler.submit(
               make_desc(emb_op("prior", step, t), Priorities::prior(step, t),
                         prior_bytes, sched::OpKind::kSparsePrior),
               [&, t, codec, prior = std::move(split.prior)] {
@@ -881,7 +860,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
           // The delayed part fills the queue's tail; its step-scoped
           // priority keeps it ahead of the next step's ops (the modified
           // Adam requires delayed(s) to land before prior(s+1)).
-          sch.submit(
+          scheduler.submit(
               make_desc(emb_op("delayed", step, t),
                         Priorities::delayed(step, t), delayed_bytes,
                         sched::OpKind::kSparseDelayed),
@@ -908,7 +887,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
       // Bytes are the budget-rows ceiling, not hot_count(): cache state
       // belongs to the comm thread, and the previous step's hotsync may
       // still be mutating it while this thread submits.
-      sch.submit(
+      scheduler.submit(
           make_desc(emb_op("hotsync", step, t),
                     fifo ? fifo_priority() : Priorities::hotsync(step, t),
                     cache_budget * cfg.dim *

@@ -112,6 +112,11 @@ Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
   return Handle(op->state);
 }
 
+Handle NegotiatedScheduler::submit(OpDesc desc, std::function<void()> body) {
+  return submit(std::move(desc), 1,
+                [fn = std::move(body)](int64_t) { fn(); });
+}
+
 void NegotiatedScheduler::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   cv_.wait(lock, [&] {

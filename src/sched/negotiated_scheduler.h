@@ -53,7 +53,7 @@
 
 namespace embrace::sched {
 
-class NegotiatedScheduler : public Scheduler {
+class NegotiatedScheduler {
  public:
   // `control` must be a dedicated channel of the cluster's fabric (no other
   // traffic may use its tag namespace). All ranks must construct their
@@ -62,23 +62,26 @@ class NegotiatedScheduler : public Scheduler {
   // Joins the comm thread. All ranks must have called shutdown() (or have
   // joined every handle and then destroy simultaneously via shutdown());
   // a failed/aborted scheduler is torn down locally via abort().
-  ~NegotiatedScheduler() override;
+  ~NegotiatedScheduler();
 
   NegotiatedScheduler(const NegotiatedScheduler&) = delete;
   NegotiatedScheduler& operator=(const NegotiatedScheduler&) = delete;
 
-  // Back-compat alias: the shared handle type lives in scheduler.h.
-  using Handle = sched::Handle;
+  // Enqueues an op as `slices` >= 1 ordered quanta (execution contract in
+  // sched/scheduler.h). `desc.name` and `slices` must be identical across
+  // ranks for the same logical op; names must be unique among unexecuted
+  // ops. Throws SchedulerError once the scheduler has failed or been
+  // aborted.
+  Handle submit(OpDesc desc, int64_t slices, SliceFn body);
 
-  using Scheduler::submit;
-
-  // Typed submission (see Scheduler). `desc.name` and `slices` must be
-  // identical across ranks for the same logical op.
-  Handle submit(OpDesc desc, int64_t slices, SliceFn body) override;
+  // Whole-op convenience: one slice, body takes no index.
+  Handle submit(OpDesc desc, std::function<void()> body);
 
   // Blocks until every op submitted so far on this rank has executed.
-  // Non-collective (the comm thread keeps serving announcements).
-  void drain() override;
+  // Non-collective (the comm thread keeps serving announcements). Rethrows
+  // the first op failure if the scheduler failed (the backlog is failed
+  // fast, so this cannot wedge on ops that will never run).
+  void drain();
 
   // Collective shutdown: blocks until every submitted op has executed, then
   // stops the comm threads on all ranks. Must be called by all ranks.
@@ -87,12 +90,13 @@ class NegotiatedScheduler : public Scheduler {
   // Local, non-collective teardown for error paths: stops this rank's comm
   // thread without announcing (peers may be dead), joins it, and fails all
   // pending handles with SchedulerError. Idempotent; safe after failure.
-  void abort() override;
+  void abort();
 
   // True once an op body threw or abort() was called; submit() will throw.
-  bool failed() const override;
+  bool failed() const;
 
-  std::vector<ExecRecord> records() const override;
+  // Execution log in completion order.
+  std::vector<ExecRecord> records() const;
 
  private:
   struct Op;

@@ -58,9 +58,4 @@ bool Handle::failed() const {
   return state_->done && state_->error != nullptr;
 }
 
-Handle Scheduler::submit(OpDesc desc, std::function<void()> body) {
-  return submit(std::move(desc), 1,
-                [fn = std::move(body)](int64_t) { fn(); });
-}
-
 }  // namespace embrace::sched

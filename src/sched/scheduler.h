@@ -1,11 +1,8 @@
-// Unified scheduler surface shared by CommScheduler (declared-order comm
-// thread) and NegotiatedScheduler (leader-negotiated distributed order).
-//
-// Both schedulers execute communication ops on a dedicated comm thread; the
-// trainer and the conformance tests program either one through this
-// interface without branching on the concrete type. Ops are described by a
-// typed OpDesc (name, priority, payload bytes, kind) instead of encoding
-// priority and size into name strings.
+// Value types of the communication scheduler (NegotiatedScheduler, in
+// sched/negotiated_scheduler.h): the typed op descriptor, its waitable
+// handle, the completion record, and the scheduler's error type. Ops are
+// described by an OpDesc (name, priority, payload bytes, kind) instead of
+// encoding priority and size into name strings.
 //
 // Chunk granularity (DESIGN.md §10). An op may be submitted as `slices`
 // ordered quanta: the scheduler calls body(0), body(1), ... body(slices-1)
@@ -18,7 +15,6 @@
 // with that exception and the remaining slices never run.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -26,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/error.h"
 
@@ -95,8 +90,7 @@ void fail_op_state(const std::shared_ptr<OpState>& state,
 
 }  // namespace detail
 
-// Waitable completion token for one op; shared by every Scheduler
-// implementation.
+// Waitable completion token for one op.
 class Handle {
  public:
   Handle() = default;
@@ -120,34 +114,5 @@ class Handle {
 // One chunk quantum of an op's body: called with the slice index, in
 // strictly increasing order from 0 to slices-1.
 using SliceFn = std::function<void(int64_t)>;
-
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  // Enqueues an op as `slices` >= 1 ordered quanta (see the header comment
-  // for the execution contract). Throws SchedulerError once the scheduler
-  // has failed or been aborted.
-  virtual Handle submit(OpDesc desc, int64_t slices, SliceFn body) = 0;
-
-  // Whole-op convenience: one slice, body takes no index.
-  Handle submit(OpDesc desc, std::function<void()> body);
-
-  // Blocks until every op submitted so far has executed. Rethrows the first
-  // op failure if the scheduler failed (the backlog is failed fast, so this
-  // cannot wedge on ops that will never run).
-  virtual void drain() = 0;
-
-  // Local, non-collective teardown for error paths: fails every pending
-  // handle with SchedulerError and puts the scheduler into the terminal
-  // failed state (submit() throws). Idempotent.
-  virtual void abort() = 0;
-
-  // True once an op body threw or abort() was called.
-  virtual bool failed() const = 0;
-
-  // Execution log in completion order.
-  virtual std::vector<ExecRecord> records() const = 0;
-};
 
 }  // namespace embrace::sched

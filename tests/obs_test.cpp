@@ -18,7 +18,8 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sched/comm_scheduler.h"
+#include "comm/communicator.h"
+#include "sched/negotiated_scheduler.h"
 
 namespace embrace::obs {
 namespace {
@@ -396,7 +397,8 @@ TEST(Metrics, WritersReportFailureInsteadOfAborting) {
 TEST(SchedulerTrace, SpansMatchExecRecordTimeline) {
   set_tracing_enabled(true);
   reset_tracing();
-  sched::CommScheduler sched;
+  comm::Fabric fabric(1);
+  sched::NegotiatedScheduler sched(comm::Communicator(fabric, 0));
   // Park the comm thread so a/b/c are all queued when it picks; their
   // priorities then fix the execution (and span) order.
   sched.submit(
@@ -416,7 +418,7 @@ TEST(SchedulerTrace, SpansMatchExecRecordTimeline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(3));
     });
   }
-  sched.drain();
+  sched.shutdown();
   std::vector<sched::ExecRecord> records;
   for (const auto& r : sched.records()) {
     if (r.name.rfind("t/", 0) == 0) records.push_back(r);

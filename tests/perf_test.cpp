@@ -4,6 +4,7 @@
 // link cost), and the PERF report serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -202,31 +203,45 @@ TEST(LinkProfiler, RecoversEmulatedFabricCostWithinTenPercent) {
   // Ground truth: the fabric occupies each cross-rank delivery for
   // α + bytes/β microseconds; the profiler observes delivery timestamps
   // only and must fit those constants back out.
-  // Constants chosen so the 10% tolerance is wide in absolute terms
-  // (500 us on alpha): scheduler noise on a loaded CI machine can add
-  // tens-of-us outliers to individual samples, and 20 samples dilute them.
+  // Preemption and timer overshoot on a loaded machine only ever delay a
+  // delivery, by up to hundreds of us per sample. Constants are chosen so
+  // the 10% tolerance is wide against that noise: 500 us on alpha, and a
+  // 10 ms spread of wire time across the byte sizes for the slope (at
+  // 400 B/us the spread was 2.6 ms, and noise alone moved β by 15%). A
+  // single badly delayed sample can still skew a 20-point least-squares
+  // fit, so the test fits several independently reset trials and checks
+  // the median α and β: a minority of disturbed trials cannot move it.
   constexpr double kAlphaUs = 5000.0;
-  constexpr double kBytesPerUs = 400.0;  // 400 MB/s
+  constexpr double kBytesPerUs = 100.0;  // 100 MB/s
+  constexpr int kTrials = 5;
   comm::Fabric fabric(2);
   comm::LinkCost cost;
   cost.alpha_us = kAlphaUs;
   cost.bytes_per_us = kBytesPerUs;
   fabric.set_uniform_link_cost(cost);
-  link_profiler().reset();
-  link_profiler().set_enabled(true);
-  for (int rep = 0; rep < 5; ++rep) {
-    for (size_t bytes : {size_t{16} << 10, size_t{64} << 10,
-                         size_t{256} << 10, size_t{1} << 20}) {
-      fabric.send(0, 1, /*tag=*/rep * 10 + bytes, comm::Bytes(bytes));
-      (void)fabric.recv(1, 0, rep * 10 + bytes);
+  std::vector<double> alphas;
+  std::vector<double> betas;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    link_profiler().reset();
+    link_profiler().set_enabled(true);
+    for (int rep = 0; rep < 5; ++rep) {
+      for (size_t bytes : {size_t{16} << 10, size_t{64} << 10,
+                           size_t{256} << 10, size_t{1} << 20}) {
+        fabric.send(0, 1, /*tag=*/rep * 10 + bytes, comm::Bytes(bytes));
+        (void)fabric.recv(1, 0, rep * 10 + bytes);
+      }
     }
+    link_profiler().set_enabled(false);
+    const LinkFit fit = link_profiler().fit(0, 1);
+    ASSERT_EQ(fit.samples, 20);
+    alphas.push_back(fit.alpha_us);
+    betas.push_back(fit.bytes_per_us);
   }
-  link_profiler().set_enabled(false);
-  const LinkFit fit = link_profiler().fit(0, 1);
   link_profiler().reset();
-  ASSERT_EQ(fit.samples, 20);
-  EXPECT_NEAR(fit.alpha_us, kAlphaUs, 0.10 * kAlphaUs);
-  EXPECT_NEAR(fit.bytes_per_us, kBytesPerUs, 0.10 * kBytesPerUs);
+  std::sort(alphas.begin(), alphas.end());
+  std::sort(betas.begin(), betas.end());
+  EXPECT_NEAR(alphas[kTrials / 2], kAlphaUs, 0.10 * kAlphaUs);
+  EXPECT_NEAR(betas[kTrials / 2], kBytesPerUs, 0.10 * kBytesPerUs);
 }
 
 TEST(PerfReport, JsonCarriesSchemaMatrixStragglersAndLinks) {

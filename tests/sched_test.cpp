@@ -1,260 +1,15 @@
-// Tests for the communication scheduler, step plans, and Algorithm 1.
+// Tests for Algorithm 1, the vertical prior/delayed gradient split.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
+#include <algorithm>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "sched/comm_scheduler.h"
-#include "sched/plan.h"
 #include "sched/vertical.h"
 #include "tensor/index_ops.h"
 
 namespace embrace::sched {
 namespace {
-
-OpDesc desc(std::string name, double priority) {
-  OpDesc d;
-  d.name = std::move(name);
-  d.priority = priority;
-  return d;
-}
-
-// Parks the comm thread inside a sleeping op so everything submitted next
-// is queued when the scheduler picks again — priority order becomes
-// observable instead of racing the comm thread.
-Handle park(CommScheduler& sched, int ms = 30) {
-  return sched.submit(desc("warmup", -1.0), [ms] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  });
-}
-
-TEST(Scheduler, ExecutesByPriorityRegardlessOfSubmitOrder) {
-  CommScheduler sched;
-  std::vector<std::string> executed;
-  std::mutex m;
-  auto body = [&](const char* n) {
-    return [&, n] {
-      std::lock_guard<std::mutex> lock(m);
-      executed.push_back(n);
-    };
-  };
-  (void)park(sched);
-  // Submit out of priority order: c first.
-  sched.submit(desc("c", 3.0), body("c"));
-  sched.submit(desc("a", 1.0), body("a"));
-  sched.submit(desc("b", 2.0), body("b"));
-  sched.drain();
-  EXPECT_EQ(executed, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Scheduler, LateUrgentSubmissionOvertakesQueuedOp) {
-  CommScheduler sched;
-  std::vector<std::string> executed;
-  std::mutex m;
-  auto body = [&](const char* n) {
-    return [&, n] {
-      std::lock_guard<std::mutex> lock(m);
-      executed.push_back(n);
-    };
-  };
-  (void)park(sched);
-  sched.submit(desc("low", 9.0), body("low"));
-  // Submitted later but more urgent: must run first.
-  sched.submit(desc("high", 1.0), body("high"));
-  sched.drain();
-  EXPECT_EQ(executed, (std::vector<std::string>{"high", "low"}));
-}
-
-TEST(Scheduler, HandleWaitBlocksUntilDone) {
-  CommScheduler sched;
-  std::atomic<bool> finished{false};
-  auto h = sched.submit(desc("slow", 0.0), [&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    finished.store(true);
-  });
-  h.wait();
-  EXPECT_TRUE(finished.load());
-}
-
-TEST(Scheduler, StepScopedPrioritiesRunBackToBack) {
-  CommScheduler sched;
-  std::vector<std::string> executed;
-  std::mutex m;
-  auto body = [&](std::string n) {
-    return [&, n] {
-      std::lock_guard<std::mutex> lock(m);
-      executed.push_back(n);
-    };
-  };
-  (void)park(sched);
-  // Two steps' worth of ops, submitted out of order; step-scoped priorities
-  // (1e6 * step + index) keep the cross-step order.
-  sched.submit(desc("s1/x", 1e6 + 0.0), body("s1/x"));
-  sched.submit(desc("s0/y", 1.0), body("s0/y"));
-  sched.submit(desc("s0/x", 0.0), body("s0/x"));
-  sched.drain();
-  EXPECT_EQ(executed,
-            (std::vector<std::string>{"s0/x", "s0/y", "s1/x"}));
-}
-
-TEST(Scheduler, RecordsExecutionTimes) {
-  CommScheduler sched;
-  sched.submit(desc("op", 0.0), [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  });
-  sched.drain();
-  auto recs = sched.records();
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].name, "op");
-  EXPECT_GE(recs[0].end - recs[0].start, 0.004);
-}
-
-TEST(Scheduler, RejectsDuplicateNameUntilExecuted) {
-  CommScheduler sched;
-  (void)park(sched);
-  sched.submit(desc("a", 1.0), [] {});
-  EXPECT_THROW(sched.submit(desc("a", 2.0), [] {}), Error);
-  sched.drain();
-  // Same name may be submitted again once executed.
-  EXPECT_NO_THROW(sched.submit(desc("a", 1.0), [] {}));
-  sched.drain();
-}
-
-TEST(Scheduler, OverlapsWithMainThread) {
-  // The comm thread must run concurrently: total wall time for a 40ms comm
-  // op + 40ms of main-thread work should be well under 80ms.
-  CommScheduler sched;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto h = sched.submit(desc("comm", 0.0), [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));  // "compute"
-  h.wait();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_LT(elapsed, 0.075);
-}
-
-// --- failure propagation (DESIGN.md §8) ---
-
-TEST(SchedulerFailure, OpExceptionRethrownFromWait) {
-  CommScheduler sched;
-  auto h = sched.submit(desc("boom", 0.0),
-                        [] { throw Error("op body failed"); });
-  EXPECT_THROW(
-      {
-        try {
-          h.wait();
-        } catch (const Error& e) {
-          EXPECT_NE(std::string(e.what()).find("op body failed"),
-                    std::string::npos);
-          throw;
-        }
-      },
-      Error);
-  EXPECT_TRUE(h.done());
-  EXPECT_TRUE(h.failed());
-}
-
-TEST(SchedulerFailure, BacklogFailsFastAfterOpThrows) {
-  CommScheduler sched;
-  (void)park(sched);
-  auto h_after = sched.submit(desc("after", 2.0),
-                              [] { FAIL() << "must never run"; });
-  auto h_boom =
-      sched.submit(desc("boom", 1.0), [] { throw Error("kaput"); });
-  // The abandoned op's waiter must not hang: it gets a SchedulerError
-  // naming the culprit, well before any watchdog.
-  EXPECT_THROW(
-      {
-        try {
-          h_after.wait();
-        } catch (const SchedulerError& e) {
-          EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-          throw;
-        }
-      },
-      SchedulerError);
-  EXPECT_THROW(h_boom.wait(), Error);
-  // drain() rethrows the original failure instead of wedging.
-  EXPECT_THROW(sched.drain(), Error);
-  // The scheduler is terminally failed: new work is refused.
-  EXPECT_THROW(sched.submit(desc("more", 3.0), [] {}), SchedulerError);
-}
-
-// Regression: destroying a scheduler with ops still in the plan used to
-// join the comm thread and leave Handle::wait() blocked forever. Now the
-// undone handles fail with "scheduler shut down".
-TEST(SchedulerFailure, DestructorFailsUndoneHandlesInsteadOfHangingWaiters) {
-  CommScheduler::Handle h;
-  std::thread waiter;
-  std::atomic<bool> waiter_threw{false};
-  {
-    CommScheduler sched;
-    std::atomic<bool> started{false};
-    // "tail" stays queued behind the long-running warmup, so it is still in
-    // the plan at destruction time.
-    sched.submit(desc("warmup", 0.0), [&] {
-      started.store(true);
-      std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    });
-    while (!started.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    h = sched.submit(desc("tail", 1.0), [] { FAIL() << "must never run"; });
-    waiter = std::thread([&] {
-      try {
-        h.wait();
-      } catch (const SchedulerError& e) {
-        EXPECT_NE(std::string(e.what()).find("scheduler shut down"),
-                  std::string::npos);
-        waiter_threw.store(true);
-      }
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(waiter_threw.load());
-  }
-  waiter.join();
-  EXPECT_TRUE(waiter_threw.load());
-  EXPECT_TRUE(h.failed());
-}
-
-TEST(SchedulerFailure, DrainDoesNotWedgeWhenOpFailsMidDrain) {
-  CommScheduler sched;
-  sched.submit(desc("slow_boom", 0.0), [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    throw Error("late failure");
-  });
-  sched.submit(desc("abandoned", 1.0), [] { FAIL() << "must never run"; });
-  EXPECT_THROW(sched.drain(), Error);
-}
-
-TEST(Plans, FifoOrderIsBpEmissionOrder) {
-  auto plan = fifo_plan(/*step=*/3, /*dense_blocks=*/3, /*tables=*/2,
-                        /*hybrid=*/false);
-  EXPECT_EQ(plan, (std::vector<std::string>{
-                      "dense/s3/2", "dense/s3/1", "dense/s3/0",
-                      "embgrad/s3/0", "embgrad/s3/1"}));
-}
-
-TEST(Plans, EmbRaceOrderPutsPriorFirstDelayedLast) {
-  auto plan = embrace_plan(/*step=*/0, /*dense_blocks=*/2, /*tables=*/1);
-  EXPECT_EQ(plan, (std::vector<std::string>{
-                      "prior/s0/0", "embdata/s0/0", "dense/s0/0",
-                      "dense/s0/1", "delayed/s0/0"}));
-}
-
-TEST(Plans, HybridFifoIncludesDataOps) {
-  auto plan = fifo_plan(1, 1, 1, /*hybrid=*/true);
-  EXPECT_EQ(plan, (std::vector<std::string>{"dense/s1/0", "embgrad/s1/0",
-                                            "embdata/s1/0"}));
-}
-
-// --- Algorithm 1 ---
 
 SparseRows grad_from_ids(int64_t vocab, const std::vector<int64_t>& ids,
                          int64_t dim, Rng& rng) {

@@ -56,11 +56,6 @@ TEST(TrainConfigValidate, FlagsEachBadField) {
       {"chunk_bytes",
        [](TrainConfig& c) { c.chunk_bytes = (int64_t{1} << 30) + 1; }},
       {"fusion_bytes", [](TrainConfig& c) { c.fusion_bytes = -5; }},
-      // Tombstone: ANY nonzero value of the removed knob is an error now.
-      {"dense_fusion_bytes",
-       [](TrainConfig& c) { c.dense_fusion_bytes = -1; }},
-      {"dense_fusion_bytes",
-       [](TrainConfig& c) { c.dense_fusion_bytes = 2048; }},
       {"cache_frac", [](TrainConfig& c) { c.cache_frac = -0.1; }},
       {"cache_frac", [](TrainConfig& c) { c.cache_frac = 1.5; }},
       // Cache over a non-hybrid strategy: there is no AlltoAll to shrink.
@@ -204,21 +199,6 @@ TEST(TrainConfigValidate, CodecTopKMustBeAKeepableFraction) {
     cfg.codec_topk = good;
     EXPECT_TRUE(cfg.validate(4).empty()) << good;
   }
-}
-
-TEST(TrainConfigValidate, DenseFusionBytesTombstoneNamesTheRename) {
-  // The deprecated shim (effective_fusion_bytes + silent fallback) is gone;
-  // a stale config that still sets the old knob must fail loudly with a
-  // pointer to fusion_bytes instead of silently losing its budget.
-  TrainConfig cfg = valid_config();
-  cfg.dense_fusion_bytes = 2048;
-  const auto errors = cfg.validate(4);
-  ASSERT_TRUE(has_error(errors, "dense_fusion_bytes"));
-  const auto it = std::find_if(
-      errors.begin(), errors.end(),
-      [](const ConfigError& e) { return e.field == "dense_fusion_bytes"; });
-  EXPECT_NE(it->message.find("fusion_bytes"), std::string::npos);
-  EXPECT_NE(it->message.find("2048"), std::string::npos);
 }
 
 TEST(TrainConfigValidate, CacheKnobsValidateOnHybridStrategies) {

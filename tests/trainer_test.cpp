@@ -175,20 +175,50 @@ TEST(Trainer, ChunkedRunsAreBitwiseEqualToMonolithic) {
   }
 }
 
-TEST(Trainer, RemovedDenseFusionBytesIsRejectedAtEntry) {
-  // The deprecated spelling used to be honored as a fallback; now the shim
-  // is gone and the trainer entry points refuse the stale knob outright.
-  TrainConfig cfg = base_config();
-  cfg.strategy = StrategyKind::kEmbRace;
-  cfg.steps = 4;
-  cfg.dense_fusion_bytes = 2048;
-  try {
-    run_distributed(cfg, 2);
-    FAIL() << "run_distributed accepted the removed dense_fusion_bytes knob";
-  } catch (const ConfigValidationError& e) {
-    ASSERT_EQ(e.errors().size(), 1u);
-    EXPECT_EQ(e.errors()[0].field, "dense_fusion_bytes");
-    EXPECT_NE(e.errors()[0].message.find("fusion_bytes"), std::string::npos);
+TEST(Trainer, DenseRouteGridMatchesOracle) {
+  // Every route a dense-ring AllReduce can take: {EmbRace's dense head,
+  // Horovod-AllReduce's dense embedding gradient} x chunking x wire codec x
+  // topology. The identity wire stays oracle-equal, fp16 holds the
+  // final-loss bound bench_codec gates, and on the flat fabric chunking
+  // moves no loss bit. (With a topology only chunk 0 takes the two-level
+  // route, whose reduction bracketing differs from the flat ring's.)
+  constexpr int kWorkers = 4;
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRace, StrategyKind::kHorovodAllReduce}) {
+    for (const CodecKind codec : {CodecKind::kIdentity, CodecKind::kFp16}) {
+      for (const bool topo : {false, true}) {
+        TrainConfig cfg = base_config();
+        cfg.strategy = s;
+        cfg.codec = codec;
+        cfg.steps = 6;
+        if (topo) {
+          cfg.topo_nodes = 2;
+          cfg.topo_gpus_per_node = 2;
+        }
+        const auto oracle = run_oracle(cfg, kWorkers);
+        std::vector<float> chunk0;
+        for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+          cfg.chunk_bytes = chunk;
+          SCOPED_TRACE(std::string(strategy_kind_name(s)) + " codec=" +
+                       codec_kind_name(codec) + " chunk=" +
+                       std::to_string(chunk) + (topo ? " 2x2" : " flat"));
+          const auto dist = run_distributed(cfg, kWorkers);
+          ASSERT_EQ(dist.losses.size(), oracle.losses.size());
+          if (codec == CodecKind::kIdentity) {
+            expect_losses_close(dist.losses, oracle.losses, 2e-3f);
+          } else {
+            EXPECT_NEAR(dist.losses.back(), oracle.losses.back(), 0.02f);
+          }
+          if (chunk == 0) {
+            chunk0 = dist.losses;
+          } else if (!topo) {
+            for (size_t i = 0; i < chunk0.size(); ++i) {
+              EXPECT_EQ(dist.losses[i], chunk0[i]) << "step " << i;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
