@@ -112,13 +112,14 @@ class IdentityCodec final : public Codec {
   bool lossless() const override { return true; }
   int64_t encoded_bytes(int64_t elems) const override { return elems * 4; }
   void encode_into(std::span<const float> src, std::byte* dst) const override {
-    std::memcpy(dst, src.data(), src.size_bytes());
+    // An empty span may carry a null data(), which memcpy must not see.
+    if (!src.empty()) std::memcpy(dst, src.data(), src.size_bytes());
   }
   void decode(std::span<const std::byte> src,
               std::span<float> dst) const override {
     EMBRACE_CHECK(src.size() == dst.size_bytes(),
                   << "identity payload size mismatch");
-    std::memcpy(dst.data(), src.data(), src.size());
+    if (!src.empty()) std::memcpy(dst.data(), src.data(), src.size());
   }
 };
 
@@ -201,7 +202,7 @@ class TopKCodec final : public Codec {
     std::sort(order_.begin(), order_.begin() + k);
     std::memcpy(dst, &k, 8);
     dst += 8;
-    std::memcpy(dst, order_.data(), static_cast<size_t>(k) * 4);
+    if (k > 0) std::memcpy(dst, order_.data(), static_cast<size_t>(k) * 4);
     std::byte* values = dst + k * 4;
     for (int64_t i = 0; i < k; ++i) {
       std::memcpy(values + i * 4, &src[order_[static_cast<size_t>(i)]], 4);

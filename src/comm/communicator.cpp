@@ -217,18 +217,6 @@ Bytes Communicator::recv_bytes(int src) {
   return checked_recv(src, next_tag());
 }
 
-void Communicator::send_floats(int dst, std::span<const float> data) {
-  send_float_block(dst, next_tag(), data);
-}
-
-std::vector<float> Communicator::recv_floats(int src) {
-  Bytes buf = recv_bytes(src);
-  const auto view = float_view(buf);
-  std::vector<float> out(view.begin(), view.end());
-  pool().release(std::move(buf));
-  return out;
-}
-
 namespace {
 constexpr uint64_t kTaggedSpaceBit = uint64_t{1} << 31;
 }
@@ -237,12 +225,6 @@ void Communicator::send_bytes_at(int dst, uint64_t user_tag, Bytes msg) {
   EMBRACE_CHECK_LT(user_tag, kTaggedSpaceBit, << "user tag out of range");
   const uint64_t tag = tag_base() | kTaggedSpaceBit | user_tag;
   fabric_->send(global_rank_, global(dst), tag, std::move(msg));
-}
-
-comm::Bytes Communicator::recv_bytes_at(int src, uint64_t user_tag) {
-  EMBRACE_CHECK_LT(user_tag, kTaggedSpaceBit, << "user tag out of range");
-  const uint64_t tag = tag_base() | kTaggedSpaceBit | user_tag;
-  return checked_recv(src, tag);
 }
 
 std::optional<Bytes> Communicator::try_recv_bytes_at(

@@ -76,15 +76,12 @@ class Communicator {
   // --- point to point ---
   void send_bytes(int dst, Bytes msg);
   Bytes recv_bytes(int src);
-  void send_floats(int dst, std::span<const float> data);
-  std::vector<float> recv_floats(int src);
 
   // Explicitly-tagged point-to-point within this channel, for protocols
   // whose send/recv counts differ per rank (e.g. the negotiated scheduler's
   // one-to-many announcements). user_tag < 2^31; the tagged space is
   // disjoint from the sequence-numbered space above. Peers are group ranks.
   void send_bytes_at(int dst, uint64_t user_tag, Bytes msg);
-  Bytes recv_bytes_at(int src, uint64_t user_tag);
   // Bounded variant: std::nullopt on timeout (no TimeoutError, no retry) —
   // lets pollers interleave the wait with their own cancellation checks.
   std::optional<Bytes> try_recv_bytes_at(int src, uint64_t user_tag,

@@ -102,21 +102,6 @@ void Fabric::set_link_faults(int src, int dst, const FaultConfig& cfg) {
   faults_enabled_.store(any, std::memory_order_relaxed);
 }
 
-void Fabric::set_delivery_jitter(uint64_t max_micros, uint64_t seed) {
-  FaultConfig cfg;
-  cfg.delay_max_us = max_micros;
-  set_fault_config(cfg, seed);
-}
-
-void Fabric::set_link_cost(int src, int dst, const LinkCost& cost) {
-  EMBRACE_CHECK(src >= 0 && src < num_ranks_, << "bad src rank " << src);
-  EMBRACE_CHECK(dst >= 0 && dst < num_ranks_, << "bad dst rank " << dst);
-  link_cost_[static_cast<size_t>(src) * num_ranks_ + dst] = cost;
-  bool any = false;
-  for (const auto& c : link_cost_) any = any || c.any();
-  link_costs_enabled_.store(any, std::memory_order_relaxed);
-}
-
 void Fabric::set_uniform_link_cost(const LinkCost& cost) {
   for (auto& c : link_cost_) c = cost;
   link_costs_enabled_.store(cost.any(), std::memory_order_relaxed);

@@ -174,19 +174,14 @@ class Fabric {
     return faults_enabled_.load(std::memory_order_relaxed);
   }
 
-  // Back-compat stress knob: uniform delivery delay on every link
-  // (equivalent to set_fault_config with only delay_max_us set).
-  void set_delivery_jitter(uint64_t max_micros, uint64_t seed = 1);
-
   // --- link-cost emulation (α–β model) ---
 
-  // Applies `cost` to one directed link / every link. Call before traffic
+  // Applies `cost` to every link. Call before traffic
   // starts (not thread-safe vs in-flight sends). With a cost configured,
   // deliver() holds the sending thread for cost_us(size) before the message
   // lands; the obs::LinkProfiler (when enabled) samples the measured
   // per-delivery time, which is how tests validate the α–β fit against a
   // known configuration.
-  void set_link_cost(int src, int dst, const LinkCost& cost);
   void set_uniform_link_cost(const LinkCost& cost);
   bool link_costs_enabled() const {
     return link_costs_enabled_.load(std::memory_order_relaxed);

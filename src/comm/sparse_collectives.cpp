@@ -316,8 +316,4 @@ std::vector<SparseRows> sparse_alltoall(Communicator& comm,
   return out;
 }
 
-void tensor_allreduce(Communicator& comm, Tensor& t) {
-  comm.allreduce(t.flat(), ReduceOp::kSum);
-}
-
 }  // namespace embrace::comm

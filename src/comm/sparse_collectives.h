@@ -109,7 +109,4 @@ std::vector<SparseRows> sparse_alltoall(Communicator& comm,
                                         std::vector<SparseRows> send,
                                         const Codec* codec = nullptr);
 
-// Dense AllReduce of a Tensor in place (sum).
-void tensor_allreduce(Communicator& comm, Tensor& t);
-
 }  // namespace embrace::comm

@@ -1,0 +1,628 @@
+#include "embrace/embedding_sync.h"
+
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "comm/chunked_collectives.h"
+#include "comm/sparse_collectives.h"
+#include "common/error.h"
+#include "common/rng.h"
+#include "embrace/hot_row_cache.h"
+#include "embrace/partitioned_embedding.h"
+#include "nn/embedding.h"
+#include "obs/perf.h"
+#include "sched/vertical.h"
+#include "sparse/algo_picker.h"
+#include "tensor/index_ops.h"
+
+namespace embrace::core {
+namespace {
+
+// Boundary mappings from the typed TrainConfig knobs to the subsystem
+// enums. TrainConfig owns the user-facing vocabulary (parse_*/name() in
+// train_config.cpp); the comm/sparse layers keep their own enums so they
+// stay usable without the trainer.
+sparse::AlgoMode to_algo_mode(SparseAlgo a) {
+  switch (a) {
+    case SparseAlgo::kAuto: return sparse::AlgoMode::kAuto;
+    case SparseAlgo::kAllgather: return sparse::AlgoMode::kForceAllgather;
+    case SparseAlgo::kRecursiveDoubling:
+      return sparse::AlgoMode::kForceRecursiveDoubling;
+    case SparseAlgo::kDense: return sparse::AlgoMode::kForceDense;
+    case SparseAlgo::kTwoLevel: return sparse::AlgoMode::kForceTwoLevel;
+  }
+  return sparse::AlgoMode::kAuto;
+}
+
+// kAdaptive never reaches this mapping: the adaptive policy is a trainer
+// concern (CodecPolicy) with no single comm::Codec equivalent.
+comm::CodecKind to_comm_codec(CodecKind c) {
+  switch (c) {
+    case CodecKind::kIdentity: return comm::CodecKind::kIdentity;
+    case CodecKind::kFp16: return comm::CodecKind::kFp16;
+    case CodecKind::kBf16: return comm::CodecKind::kBf16;
+    case CodecKind::kTopK: return comm::CodecKind::kTopK;
+    case CodecKind::kAdaptive: break;
+  }
+  EMBRACE_CHECK(false, << "adaptive codec has no fixed comm::CodecKind");
+  return comm::CodecKind::kIdentity;
+}
+
+// Table t's initial parameters come from the deterministic substream
+// split(t) of the seed's stream — identical across ranks, strategies and
+// the oracle.
+Rng table_rng(const TrainConfig& cfg, int t) {
+  return Rng(cfg.seed).split(static_cast<uint64_t>(t));
+}
+
+// Column shards exchanged by AlltoAll (paper §4.1): the D_cur id gather and
+// the "embdata" lookup ops, the per-shard sparse optimizers, and the
+// hot-row caches with their per-step "hotsync" op.
+class HybridSync : public EmbeddingSync {
+ public:
+  std::vector<sched::Handle> lookup(int step, const Segmented& seg,
+                                    const Segmented& /*seg_next*/,
+                                    Tensor& emb_out) override {
+    for (int t = 0; t < tables(); ++t) {
+      all_cur_[t] =
+          PartitionedEmbedding::allgather_ids(ctx_.main_ch, seg.ids[t]);
+    }
+    // Each table's lookup AlltoAll runs as its own scheduled comm op
+    // ("Emb Data"), ordered after the previous step's prior/delayed ops —
+    // the dependency the paper's Figure 6(c) encodes.
+    std::vector<sched::Handle> handles;
+    for (int t = 0; t < tables(); ++t) {
+      const auto bytes = static_cast<int64_t>(seg.ids[t].size()) *
+                         ctx_.cfg.dim * static_cast<int64_t>(sizeof(float));
+      handles.push_back(ctx_.submit(
+          "embdata", step, t, Priorities::embdata(step, t), bytes,
+          sched::OpKind::kEmbData, [this, t, &seg, &emb_out] {
+            const EmbedExchange ex{.group = ctx_.grp,
+                                   .cache = caches_[t].get()};
+            Tensor rows = shards_[t]->distributed_lookup(
+                ctx_.comm_ch, all_cur_[t], seg.ids[t], ex);
+            scatter_rows(rows, seg.pos[t], emb_out);
+          }));
+    }
+    return handles;
+  }
+
+  // Hot-row cache sync/refresh, one op per cached table. Submitted last so
+  // FIFO strategies run it after the step's gradient exchanges; the
+  // priority strategies get the same guarantee from Priorities::hotsync.
+  // The handle is deliberately dropped, like the delayed op's: the
+  // scheduler's rank-agreed order already places hotsync(s) before every
+  // op of step s+1, and shutdown drains the tail.
+  void step_end(int step) override {
+    for (int t = 0; t < tables(); ++t) {
+      if (caches_[t] == nullptr) continue;
+      // Bytes are the budget-rows ceiling, not hot_count(): cache state
+      // belongs to the comm thread, and the previous step's hotsync may
+      // still be mutating it while this thread submits.
+      ctx_.submit("hotsync", step, t, Priorities::hotsync(step, t),
+                  cache_budget_ * ctx_.cfg.dim *
+                      static_cast<int64_t>(sizeof(float)),
+                  sched::OpKind::kOther, [this, t] {
+                    caches_[t]->step_end(ctx_.comm_ch, ctx_.dense_codec.get(),
+                                         &*cache_picker_);
+                  });
+    }
+  }
+
+ protected:
+  explicit HybridSync(SyncContext& ctx)
+      : ctx_(ctx), all_cur_(static_cast<size_t>(ctx.cfg.num_tables)) {
+    ctx_.enable_codec();
+    const TrainConfig& cfg = ctx_.cfg;
+    for (int t = 0; t < tables(); ++t) {
+      shards_.push_back(std::make_unique<PartitionedEmbedding>(
+          cfg.vocab, cfg.dim, ctx_.rank, ctx_.workers, table_rng(cfg, t)));
+      opts_.push_back(
+          make_sparse_optim(cfg, cfg.vocab, shards_.back()->shard_width()));
+    }
+    // Hot-row caches (DESIGN.md §15), one per table. Every ctor argument
+    // is a pure function of the shared TrainConfig, so membership state
+    // starts rank-agreed and the epoch protocol keeps it that way.
+    caches_.resize(static_cast<size_t>(tables()));
+    cache_budget_ =
+        static_cast<int64_t>(cfg.cache_frac * static_cast<double>(cfg.vocab));
+    if (cache_budget_ <= 0) return;
+    HotRowCache::Config cache_cfg;
+    cache_cfg.budget_rows = cache_budget_;
+    cache_cfg.refresh_steps = cfg.cache_refresh_steps;
+    cache_cfg.staleness = cfg.cache_staleness;
+    cache_cfg.chunk_bytes = cfg.chunk_bytes;
+    for (int t = 0; t < tables(); ++t) {
+      // The replica optimizer spans the full dim (hot rows live full-width
+      // on every rank) with the same kind/hyperparameters as the shard's —
+      // the staleness-0 equivalence depends on that match.
+      caches_[t] = std::make_unique<HotRowCache>(
+          shards_[t].get(), opts_[t].get(),
+          make_sparse_optim(cfg, cfg.vocab, cfg.dim), cache_cfg);
+    }
+    // The refresh-time cut pricing needs CostParams identical on every
+    // rank WITHOUT a broadcast (refresh runs deep inside a comm op): use
+    // the simnet defaults overridden by the explicit link knobs — a pure
+    // function of cfg, unlike the measured-profile path the allgather
+    // picker takes.
+    sparse::CostParams params = sparse::CostParams::from_simnet_defaults();
+    if (cfg.link_alpha_us > 0.0) params.link.alpha_us = cfg.link_alpha_us;
+    if (cfg.link_bytes_per_us > 0.0) {
+      params.link.bytes_per_us = cfg.link_bytes_per_us;
+    }
+    cache_picker_.emplace(sparse::AlgoMode::kAuto, params, cfg.chunk_bytes);
+    if (ctx_.dense_codec != nullptr) {
+      cache_picker_->set_codec_cost(
+          comm::codec_wire_bytes_per_value(*ctx_.dense_codec));
+    }
+  }
+
+  int tables() const { return ctx_.cfg.num_tables; }
+
+  // The op body for one gradient part of table t: the AlltoAll exchange to
+  // the owning shards, then the shard's optimizer step.
+  std::function<void()> exchange(int t, SparseRows part,
+                                 const comm::Codec* codec,
+                                 nn::SparseStep step) {
+    return [this, t, codec, step, part = std::move(part)] {
+      const EmbedExchange ex{.group = ctx_.grp, .codec = codec,
+                             .cache = caches_[t].get()};
+      SparseRows g = shards_[t]->exchange_grad(ctx_.comm_ch, part, ex);
+      opts_[t]->apply(shards_[t]->shard(), g, step);
+    };
+  }
+
+  SyncContext& ctx_;
+  // Every worker's ids of the current batch per table (Algorithm 1's
+  // D_cur); all_cur_[t][rank] is this rank's own.
+  std::vector<std::vector<std::vector<int64_t>>> all_cur_;
+
+ private:
+  std::vector<std::unique_ptr<PartitionedEmbedding>> shards_;
+  std::vector<std::unique_ptr<nn::SparseOptimizer>> opts_;
+  std::vector<std::unique_ptr<HotRowCache>> caches_;
+  std::optional<sparse::AlgoPicker> cache_picker_;
+  int64_t cache_budget_ = 0;
+};
+
+// Hybrid communication without Algorithm 1: the whole gradient travels as
+// one "embgrad" op, FIFO.
+class NoVssSync final : public HybridSync {
+ public:
+  explicit NoVssSync(SyncContext& ctx) : HybridSync(ctx) {}
+  bool prioritized() const override { return false; }
+
+  void exchange_grad(int step, int t, SparseRows grad,
+                     std::vector<sched::Handle>& handles) override {
+    // The op's byte estimate is the gradient before error feedback.
+    const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
+    // Codec choice + error feedback happen here on the main thread
+    // (adaptive mode allreduces the |grad| mass on main_ch, like the id
+    // exchange in lookup); the wire work runs on the comm thread. No VSS ->
+    // no coalescing pass: the uncoalesced gradient goes on the wire; the
+    // shard coalesces before applying.
+    const comm::Codec* codec = ctx_.choose_table_codec(ctx_.main_ch, t, grad);
+    ctx_.apply_sparse_ef(t, grad, codec);
+    handles.push_back(ctx_.submit(
+        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        sched::OpKind::kOther,
+        exchange(t, std::move(grad), codec, nn::SparseStep::kFull)));
+  }
+};
+
+// EmbRace: hybrid communication plus 2D scheduling — Algorithm 1 splits
+// each table's gradient into a prior part (rows the next batch reads) and
+// a delayed part that fills the queue's tail.
+class EmbRaceSync final : public HybridSync {
+ public:
+  explicit EmbRaceSync(SyncContext& ctx)
+      : HybridSync(ctx), all_next_(static_cast<size_t>(ctx.cfg.num_tables)) {}
+  bool prioritized() const override { return true; }
+
+  std::vector<sched::Handle> lookup(int step, const Segmented& seg,
+                                    const Segmented& seg_next,
+                                    Tensor& emb_out) override {
+    // Algorithm 1's D_next: every worker's ids of the next batch.
+    for (int t = 0; t < tables(); ++t) {
+      all_next_[t] =
+          PartitionedEmbedding::allgather_ids(ctx_.main_ch, seg_next.ids[t]);
+    }
+    return HybridSync::lookup(step, seg, seg_next, emb_out);
+  }
+
+  void exchange_grad(int step, int t, SparseRows grad,
+                     std::vector<sched::Handle>& handles) override {
+    // Error feedback is applied to the WHOLE gradient before Algorithm 1's
+    // vertical split: the residual row-aligns with the coalesced gradient,
+    // and both the prior and delayed parts then carry already-projected
+    // values (re-encoding a projected payload on the wire is idempotent,
+    // so the split adds no extra error and the modified-Adam prior/delayed
+    // sequencing is untouched).
+    const comm::Codec* codec = ctx_.choose_table_codec(ctx_.main_ch, t, grad);
+    ctx_.apply_sparse_ef(t, grad, codec);
+    // Algorithm 1 on the GPU-idle window after BP, per table.
+    auto split = sched::vertical_sparse_schedule(
+        grad, all_cur_[t][static_cast<size_t>(ctx_.rank)],
+        flatten(all_next_[t]));
+    const auto prior_bytes =
+        static_cast<int64_t>(split.prior.packed_byte_size());
+    const auto delayed_bytes =
+        static_cast<int64_t>(split.delayed.packed_byte_size());
+    handles.push_back(ctx_.submit(
+        "prior", step, t, Priorities::prior(step, t), prior_bytes,
+        sched::OpKind::kSparsePrior,
+        exchange(t, std::move(split.prior), codec, nn::SparseStep::kPrior)));
+    // The delayed part fills the queue's tail; its step-scoped priority
+    // keeps it ahead of the next step's ops (the modified Adam requires
+    // delayed(s) to land before prior(s+1)), so its handle is not waited on.
+    ctx_.submit("delayed", step, t, Priorities::delayed(step, t),
+                delayed_bytes, sched::OpKind::kSparseDelayed,
+                exchange(t, std::move(split.delayed), codec,
+                         nn::SparseStep::kDelayed));
+  }
+
+ private:
+  std::vector<std::vector<std::vector<int64_t>>> all_next_;
+};
+
+// Full replicas on every rank: the lookup is a local forward, and the
+// gradient is aggregated on the comm thread, which also applies the
+// codec and error feedback inside the op body.
+class ReplicatedSync : public EmbeddingSync {
+ public:
+  bool prioritized() const override { return false; }
+
+  std::vector<sched::Handle> lookup(int /*step*/, const Segmented& seg,
+                                    const Segmented& /*seg_next*/,
+                                    Tensor& emb_out) override {
+    for (size_t t = 0; t < replicas_.size(); ++t) {
+      scatter_rows(replicas_[t]->forward(seg.ids[t]), seg.pos[t], emb_out);
+    }
+    return {};
+  }
+
+ protected:
+  explicit ReplicatedSync(SyncContext& ctx) : ctx_(ctx) {
+    ctx_.enable_codec();
+    const TrainConfig& cfg = ctx_.cfg;
+    for (int t = 0; t < cfg.num_tables; ++t) {
+      Rng rng = table_rng(cfg, t);
+      replicas_.push_back(
+          std::make_unique<nn::Embedding>(cfg.vocab, cfg.dim, rng));
+      opts_.push_back(make_sparse_optim(cfg, cfg.vocab, cfg.dim));
+    }
+  }
+
+  SyncContext& ctx_;
+  std::vector<std::unique_ptr<nn::Embedding>> replicas_;
+  std::vector<std::unique_ptr<nn::SparseOptimizer>> opts_;
+};
+
+// Horovod with the embedding gradient aggregated in dense format by ring
+// AllReduce.
+class HorovodAllReduceSync final : public ReplicatedSync {
+ public:
+  explicit HorovodAllReduceSync(SyncContext& ctx) : ReplicatedSync(ctx) {}
+
+  void exchange_grad(int step, int t, SparseRows grad,
+                     std::vector<sched::Handle>& handles) override {
+    const int64_t bytes = grad.dense_byte_size();
+    handles.push_back(ctx_.submit(
+        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        sched::OpKind::kOther,
+        [this, t, grad = std::move(grad)] {
+          // Dense-format aggregation of the (sparse) gradient, with the
+          // wire codec on the ring when one is configured (error feedback
+          // first, on the sparse form).
+          const comm::Codec* codec =
+              ctx_.choose_table_codec(ctx_.comm_ch, t, grad);
+          SparseRows g = grad;
+          ctx_.apply_sparse_ef(t, g, codec);
+          Tensor dense = g.to_dense();
+          comm::allreduce_chunked(ctx_.comm_ch, dense.flat(),
+                                  ctx_.cfg.chunk_bytes, comm::ReduceOp::kSum,
+                                  codec);
+          // `grad` holds this rank's uncoalesced batch ids.
+          const auto rows = unique_sorted(flatten(
+              PartitionedEmbedding::allgather_ids(ctx_.comm_ch,
+                                                  grad.indices())));
+          opts_[t]->apply(replicas_[t]->table(),
+                          SparseRows::gather(dense, rows),
+                          nn::SparseStep::kFull);
+        }));
+  }
+};
+
+// Horovod with sparse AllReduce of the embedding gradient; an AlgoPicker
+// chooses the algorithm per op (DESIGN.md §12).
+class HorovodAllGatherSync final : public ReplicatedSync {
+ public:
+  explicit HorovodAllGatherSync(SyncContext& ctx) : ReplicatedSync(ctx) {
+    const TrainConfig& cfg = ctx_.cfg;
+    // Cost params are fixed for the whole run and must be identical on
+    // every rank (a split-brain algorithm choice deadlocks the
+    // collective): rank 0 resolves measured-profile-vs-simnet-defaults and
+    // broadcasts the α–β pair before the step loop.
+    const sparse::AlgoMode mode = to_algo_mode(cfg.sparse_algo);
+    // Rank 0's view of the link profile is authoritative: its {α, β,
+    // measured?} triple is broadcast so every rank prices ops from the
+    // exact same constants — a rank pair disagreeing on the efficiency set
+    // would split-brain the algorithm choice.
+    sparse::CostParams params = sparse::CostParams::from_simnet_defaults();
+    std::vector<float> ab(3);
+    if (ctx_.rank == 0) {
+      if (auto measured =
+              sparse::CostParams::from_measured(obs::link_profiler())) {
+        params = *measured;
+        ab[2] = 1.0f;
+      }
+      ab[0] = static_cast<float>(params.link.alpha_us);
+      ab[1] = static_cast<float>(params.link.bytes_per_us);
+    }
+    ctx_.main_ch.broadcast(ab, /*root=*/0);
+    params.link.alpha_us = static_cast<double>(ab[0]);
+    params.link.bytes_per_us = static_cast<double>(ab[1]);
+    if (ab[2] != 0.0f) {
+      // Measured constants carry no scheme derate (see from_measured).
+      params.allgather_eff = 1.0;
+      params.allreduce_eff = 1.0;
+      params.alltoall_eff = 1.0;
+    }
+    // Topology terms are rank-agreed by construction (pure functions of the
+    // shared TrainConfig), so they need no broadcast. Only a real two-tier
+    // layout admits kTwoLevelRing into the candidate set — the runtime could
+    // not honor the pick otherwise.
+    if (ctx_.grp != nullptr && ctx_.grp->two_level()) {
+      params.nodes = cfg.topo_nodes;
+      params.gpus_per_node = cfg.topo_gpus_per_node;
+      const sparse::CostParams defaults =
+          sparse::CostParams::from_simnet_defaults();
+      params.intra.alpha_us = cfg.link_intra_alpha_us > 0.0
+                                  ? cfg.link_intra_alpha_us
+                                  : defaults.intra.alpha_us;
+      params.intra.bytes_per_us = cfg.link_intra_bytes_per_us > 0.0
+                                      ? cfg.link_intra_bytes_per_us
+                                      : defaults.intra.bytes_per_us;
+    }
+    algo_picker_.emplace(mode, params, cfg.chunk_bytes);
+  }
+
+  void exchange_grad(int step, int t, SparseRows grad,
+                     std::vector<sched::Handle>& handles) override {
+    const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
+    handles.push_back(ctx_.submit(
+        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        sched::OpKind::kOther,
+        [this, t, grad = std::move(grad)] {
+          // Rank-agreed decision inputs in ONE allreduce: per-rank
+          // distinct-row density d_r (their mean prices per-rank
+          // payloads), Σ log1p(−d_r) (the union density the merged result
+          // actually occupies — feeding the mean alone mispriced the
+          // dense-ring crossover by up to workers× for disjoint hot sets),
+          // and the |grad| mass for the codec policy. Every rank then makes
+          // the same (codec, format, algorithm) decision.
+          const double d = grad.row_density();
+          float sum_abs = 0.0f;
+          for (float v : grad.values().flat()) sum_abs += std::fabs(v);
+          std::vector<float> stats{
+              static_cast<float>(d), static_cast<float>(std::log1p(-d)),
+              sum_abs, static_cast<float>(grad.values().flat().size())};
+          ctx_.comm_ch.allreduce(stats);
+          const sparse::DensityEstimate est =
+              sparse::DensityEstimate::from_allreduced(
+                  static_cast<double>(stats[0]),
+                  static_cast<double>(stats[1]), ctx_.workers);
+          const comm::Codec* codec = nullptr;
+          if (ctx_.codec_policy.has_value()) {
+            const double mean_abs =
+                stats[3] > 0.0f ? static_cast<double>(stats[2]) /
+                                      static_cast<double>(stats[3])
+                                : 0.0;
+            codec = ctx_.codec_policy->choose(t, mean_abs);
+            algo_picker_->set_codec_cost(
+                codec != nullptr ? comm::codec_wire_bytes_per_value(*codec)
+                                 : 4.0);
+          }
+          const sparse::AlgoChoice choice = algo_picker_->choose(
+              est, ctx_.cfg.vocab, ctx_.cfg.dim, ctx_.workers);
+          SparseRows g = grad;
+          ctx_.apply_sparse_ef(t, g, codec);
+          SparseRows total =
+              ctx_.grp != nullptr
+                  ? comm::sparse_allreduce(*ctx_.grp, g, choice.algo,
+                                           choice.chunk_bytes, codec)
+                  : comm::sparse_allreduce(ctx_.comm_ch, g, choice.algo,
+                                           choice.chunk_bytes, codec);
+          sparse::AlgoPicker::record(
+              choice, static_cast<int64_t>(g.packed_byte_size()));
+          opts_[t]->apply(replicas_[t]->table(), total.coalesced(),
+                          nn::SparseStep::kFull);
+        }));
+  }
+
+ private:
+  std::optional<sparse::AlgoPicker> algo_picker_;
+};
+
+// Embedding tables on shared parameter servers (make_param_servers): the
+// lookup pulls rows, the gradient is pushed on the comm thread, and the
+// server applies SGD. The codec knob does not apply.
+class PsSync : public EmbeddingSync {
+ public:
+  std::vector<sched::Handle> lookup(int /*step*/, const Segmented& seg,
+                                    const Segmented& /*seg_next*/,
+                                    Tensor& emb_out) override {
+    for (size_t t = 0; t < ctx_.ps.size(); ++t) {
+      scatter_rows(ctx_.ps[t]->pull_rows(seg.ids[t]), seg.pos[t], emb_out);
+    }
+    return {};
+  }
+
+ protected:
+  explicit PsSync(SyncContext& ctx) : ctx_(ctx) {}
+
+  SyncContext& ctx_;
+};
+
+// Parallax: sparse push to a sharded PS, FIFO.
+class ParallaxSync final : public PsSync {
+ public:
+  explicit ParallaxSync(SyncContext& ctx) : PsSync(ctx) {}
+  bool prioritized() const override { return false; }
+
+  void exchange_grad(int step, int t, SparseRows grad,
+                     std::vector<sched::Handle>& handles) override {
+    const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
+    handles.push_back(ctx_.submit(
+        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        sched::OpKind::kOther,
+        [this, t, grad = std::move(grad)] { ctx_.ps[t]->push_sparse(grad); }));
+  }
+};
+
+// BytePS: dense-format push, priority-scheduled (ByteScheduler).
+class BytePsSync final : public PsSync {
+ public:
+  explicit BytePsSync(SyncContext& ctx) : PsSync(ctx) {}
+  bool prioritized() const override { return true; }
+
+  void exchange_grad(int step, int t, SparseRows grad,
+                     std::vector<sched::Handle>& handles) override {
+    // The embedding is what the next FP needs first, so its push jumps the
+    // dense-block queue.
+    const int64_t bytes = grad.dense_byte_size();
+    handles.push_back(ctx_.submit(
+        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        sched::OpKind::kSparsePrior,
+        [this, t, grad = std::move(grad)] {
+          ctx_.ps[t]->push_dense(grad.to_dense());
+        }));
+  }
+};
+
+}  // namespace
+
+void scatter_rows(const Tensor& rows, const std::vector<int64_t>& pos,
+                  Tensor& emb_out) {
+  EMBRACE_CHECK_EQ(rows.rows(), static_cast<int64_t>(pos.size()));
+  for (size_t k = 0; k < pos.size(); ++k) {
+    auto src = rows.row(static_cast<int64_t>(k));
+    auto dst = emb_out.row(pos[k]);
+    std::copy(src.begin(), src.end(), dst.begin());
+  }
+}
+
+std::unique_ptr<nn::SparseOptimizer> make_sparse_optim(const TrainConfig& c,
+                                                       int64_t rows,
+                                                       int64_t dim) {
+  switch (c.optim) {
+    case OptimKind::kSgd: return std::make_unique<nn::SparseSgd>(c.lr);
+    case OptimKind::kAdagrad:
+      return std::make_unique<nn::SparseAdagrad>(rows, dim, c.lr);
+    case OptimKind::kAdam:
+      return std::make_unique<nn::SparseAdam>(rows, dim, c.lr,
+                                              /*modified=*/true);
+  }
+  return nullptr;
+}
+
+void SyncContext::enable_codec() {
+  const bool adaptive = cfg.codec == CodecKind::kAdaptive;
+  sparse::CodecPolicyConfig codec_cfg;
+  codec_cfg.adaptive = adaptive;
+  if (!adaptive) codec_cfg.base = to_comm_codec(cfg.codec);
+  codec_cfg.topk_fraction = cfg.codec_topk;
+  if (!adaptive && codec_cfg.base == comm::CodecKind::kIdentity) return;
+  codec_policy.emplace(codec_cfg);
+  dense_codec = comm::make_codec(
+      adaptive ? comm::CodecKind::kBf16 : codec_cfg.base, cfg.codec_topk);
+  // Rank-local error-feedback residuals: the quantization error of step s
+  // is added back into the gradient of step s+1, which is what keeps
+  // lossy codecs (top-k above all) convergent.
+  if (codec_policy->may_be_lossy()) {
+    for (int t = 0; t < cfg.num_tables; ++t) {
+      sparse_ef.emplace_back(cfg.vocab, cfg.dim);
+    }
+  }
+}
+
+const comm::Codec* SyncContext::choose_table_codec(comm::Communicator& ch,
+                                                   int t,
+                                                   const SparseRows& g) const {
+  if (!codec_policy.has_value()) return nullptr;
+  double mean_abs = 0.0;
+  if (codec_policy->config().adaptive) {
+    float sum_abs = 0.0f;
+    for (float v : g.values().flat()) sum_abs += std::fabs(v);
+    std::vector<float> m{sum_abs,
+                         static_cast<float>(g.values().flat().size())};
+    ch.allreduce(m);
+    mean_abs = m[1] > 0.0f
+                   ? static_cast<double>(m[0]) / static_cast<double>(m[1])
+                   : 0.0;
+  }
+  return codec_policy->choose(t, mean_abs);
+}
+
+sched::Handle SyncContext::submit(const char* kind, int step, int t,
+                                  double priority, int64_t bytes,
+                                  sched::OpKind op_kind,
+                                  std::function<void()> body) {
+  return scheduler.submit(
+      {.name = std::string(kind) + "/s" + std::to_string(step) + "/t" +
+               std::to_string(t),
+       .priority = prio(priority),
+       .bytes = bytes,
+       .kind = op_kind},
+      std::move(body));
+}
+
+void SyncContext::apply_sparse_ef(int t, SparseRows& g,
+                                  const comm::Codec* codec) {
+  if (sparse_ef.empty() || codec == nullptr || codec->lossless()) return;
+  g = g.coalesced();
+  sparse_ef[static_cast<size_t>(t)].apply(g, *codec);
+}
+
+std::unique_ptr<EmbeddingSync> make_embedding_sync(const TrainConfig& cfg,
+                                                   SyncContext& ctx) {
+  std::unique_ptr<EmbeddingSync> sync;
+  switch (cfg.strategy) {
+    case StrategyKind::kHorovodAllReduce:
+      sync = std::make_unique<HorovodAllReduceSync>(ctx); break;
+    case StrategyKind::kHorovodAllGather:
+      sync = std::make_unique<HorovodAllGatherSync>(ctx); break;
+    case StrategyKind::kBytePsDense:
+      sync = std::make_unique<BytePsSync>(ctx); break;
+    case StrategyKind::kParallaxPs:
+      sync = std::make_unique<ParallaxSync>(ctx); break;
+    case StrategyKind::kEmbRaceNoVss:
+      sync = std::make_unique<NoVssSync>(ctx); break;
+    case StrategyKind::kEmbRace:
+      sync = std::make_unique<EmbRaceSync>(ctx); break;
+  }
+  EMBRACE_CHECK(sync != nullptr);
+  ctx.prioritized = sync->prioritized();
+  return sync;
+}
+
+std::vector<std::unique_ptr<comm::ShardedParameterServer>> make_param_servers(
+    const TrainConfig& cfg, int workers) {
+  std::vector<std::unique_ptr<comm::ShardedParameterServer>> ps;
+  if (cfg.strategy != StrategyKind::kParallaxPs &&
+      cfg.strategy != StrategyKind::kBytePsDense) {
+    return ps;
+  }
+  // Server-side SGD must apply the same averaged gradient: workers push
+  // grads already scaled by 1/N, so the server lr equals cfg.lr.
+  for (int t = 0; t < cfg.num_tables; ++t) {
+    Rng rng = table_rng(cfg, t);
+    Tensor init = nn::Embedding(cfg.vocab, cfg.dim, rng).table();
+    ps.push_back(std::make_unique<comm::ShardedParameterServer>(
+        init, std::max(1, workers / 2), workers, cfg.lr));
+  }
+  return ps;
+}
+
+}  // namespace embrace::core

@@ -1,0 +1,149 @@
+// How embedding lookups and gradients travel: the one thing the compared
+// strategies (paper §5.2.3) do differently. trainer.cpp's step loop is
+// shared; each strategy is one EmbeddingSync over a family base —
+// HybridSync (column shards + AlltoAll: EmbRaceSync, NoVssSync),
+// ReplicatedSync (HorovodAllReduceSync, HorovodAllGatherSync) or PsSync
+// (ParallaxSync, BytePsSync). make_embedding_sync is the only place a
+// StrategyKind turns into behaviour. Internal to embrace_core.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "comm/codec.h"
+#include "comm/comm_group.h"
+#include "comm/communicator.h"
+#include "comm/param_server.h"
+#include "embrace/error_feedback.h"
+#include "embrace/strategy.h"
+#include "nn/optim.h"
+#include "sched/negotiated_scheduler.h"
+#include "sparse/codec_policy.h"
+#include "tensor/sparse_rows.h"
+
+namespace embrace::core {
+
+// Step-scoped priorities: ops of step s always precede ops of step s+1 in
+// the priority order (required for the modified Adam's prior/delayed
+// sequencing); within a step the 2D order is prior < embdata < dense
+// (FP-order) < delayed.
+struct Priorities {
+  static double base(int step) { return 1e6 * step; }
+  static double prior(int step, int table) {
+    return base(step) + 0.01 * table;
+  }
+  static double embdata(int step, int table) {
+    return base(step) + 1 + 0.01 * table;
+  }
+  static double dense(int step, size_t fp_index) {
+    return base(step) + 10 + static_cast<double>(fp_index);
+  }
+  static double delayed(int step, int table) {
+    return base(step) + 1e5 + table;
+  }
+  // Hot-row cache sync/refresh: strictly after every gradient op of step s
+  // (the pending buffer must hold the full step's hot gradients) and before
+  // every op of step s+1 (the next lookups read the synced replica).
+  static double hotsync(int step, int table) {
+    return base(step) + 2e5 + table;
+  }
+};
+
+// Sentence segmentation for multi-table models: table t embeds columns
+// [S*t/T, S*(t+1)/T) of every sentence. Holds per-table token ids and
+// their flat positions within the (B*S x dim) embedding-output block.
+struct Segmented {
+  std::vector<std::vector<int64_t>> ids;  // per table
+  std::vector<std::vector<int64_t>> pos;  // per table, flat row positions
+};
+
+// Scatters looked-up rows for one table into the shared embedding output.
+void scatter_rows(const Tensor& rows, const std::vector<int64_t>& pos,
+                  Tensor& emb_out);
+
+std::unique_ptr<nn::SparseOptimizer> make_sparse_optim(const TrainConfig& c,
+                                                       int64_t rows,
+                                                       int64_t dim);
+
+// What the strategies share with the step loop, one per rank. The wire
+// codec stays off until a strategy that puts embedding gradients on the
+// fabric calls enable_codec() (the PS emulations' wire is emulated).
+struct SyncContext {
+  const TrainConfig& cfg;
+  int rank = 0;
+  int workers = 1;
+  sched::NegotiatedScheduler& scheduler;
+  comm::Communicator& comm_ch;  // collectives run by the comm thread
+  comm::Communicator& main_ch;  // inline metadata from the main thread
+  comm::CommGroup* grp = nullptr;  // two-level tree, or null
+  // Parameter-server strategies only: one sharded PS per table.
+  std::span<const std::unique_ptr<comm::ShardedParameterServer>> ps;
+
+  // Wire codec (DESIGN.md §14). Identity builds no policy: every
+  // collective gets a null codec, so the wire is byte-for-byte codec-free.
+  // Adaptive mode keeps the dense head on bf16 and picks per table.
+  std::optional<sparse::CodecPolicy> codec_policy;
+  std::unique_ptr<comm::Codec> dense_codec;
+  std::vector<SparseErrorFeedback> sparse_ef;  // per table, rank-local
+
+  // EmbRace and BytePS (ByteScheduler) use priority scheduling; the rest
+  // drain their queues FIFO. Set from EmbeddingSync::prioritized().
+  bool prioritized = false;
+  uint64_t fifo_seq = 0;
+
+  // An op's priority: `v` when prioritized, else its submission order.
+  double prio(double v) {
+    return prioritized ? v : static_cast<double>(fifo_seq++);
+  }
+  // Submits table t's op "<kind>/s<step>/t<t>" at priority prio(priority).
+  sched::Handle submit(const char* kind, int step, int t, double priority,
+                       int64_t bytes, sched::OpKind op_kind,
+                       std::function<void()> body);
+  void enable_codec();
+  // The per-op codec for one table's sparse gradient. Adaptive mode needs
+  // the table's rank-agreed mean |grad|, so it costs one tiny allreduce on
+  // `ch` (the channel the caller is allowed to block on: main_ch from the
+  // issue scope, comm_ch from an op body); fixed modes are pure local.
+  const comm::Codec* choose_table_codec(comm::Communicator& ch, int t,
+                                        const SparseRows& g) const;
+  // Folds table t's error-feedback residual into `g` ahead of a lossy
+  // encode, coalescing first so the residual stays row-aligned. A no-op
+  // without a lossy codec.
+  void apply_sparse_ef(int t, SparseRows& g, const comm::Codec* codec);
+};
+
+class EmbeddingSync {
+ public:
+  virtual ~EmbeddingSync() = default;
+
+  // Fills this rank's rows of `emb_out` for step `step` (`seg`: this
+  // batch, `seg_next`: the next one). Returns the handles to wait on: empty
+  // when the lookup ran locally, else the lookup runs on the comm thread
+  // and this call only issued it.
+  virtual std::vector<sched::Handle> lookup(int step, const Segmented& seg,
+                                            const Segmented& seg_next,
+                                            Tensor& emb_out) = 0;
+  // Submits table t's gradient exchange (`grad`: this rank's rows, already
+  // scaled by 1/workers) and appends any handle to wait on.
+  virtual void exchange_grad(int step, int t, SparseRows grad,
+                             std::vector<sched::Handle>& handles) = 0;
+  // Submits the step's trailing ops, after every gradient exchange.
+  virtual void step_end(int /*step*/) {}
+  virtual bool prioritized() const = 0;
+};
+
+// The strategy for cfg.strategy over `ctx`; also sets ctx.prioritized.
+std::unique_ptr<EmbeddingSync> make_embedding_sync(const TrainConfig& cfg,
+                                                   SyncContext& ctx);
+
+// One sharded parameter server per table for the PS strategies (empty for
+// the rest), initialized to the same tables every rank and the oracle
+// start from.
+std::vector<std::unique_ptr<comm::ShardedParameterServer>> make_param_servers(
+    const TrainConfig& cfg, int workers);
+
+}  // namespace embrace::core

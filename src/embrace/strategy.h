@@ -142,13 +142,11 @@ struct TrainConfig {
   // kBytePsDense) ignore it. Spellings ("identity" | "fp16" | "bf16" |
   // "topk" | "adaptive") parse via parse_codec_kind at the boundary.
   CodecKind codec = CodecKind::kIdentity;
-  // Kept fraction for the top-k codec, in (0, 1].
+  // Kept fraction for the top-k codec, in (0, 1]. Lossy codecs always run
+  // with rank-local error feedback: the quantization error of step t is
+  // added back into the gradient of step t+1, which is what keeps top-k
+  // training convergent.
   double codec_topk = 0.2;
-  // Rank-local error-feedback residuals for lossy codecs: the quantization
-  // error of step t is added back into the gradient of step t+1, which is
-  // what keeps top-k training convergent. Only consulted when the codec
-  // can be lossy.
-  bool codec_error_feedback = true;
 
   // Tensor fusion (bucketing) for the dense gradients: when > 0, dense
   // parameter gradients are packed in backward-pass order into buckets of
@@ -172,18 +170,15 @@ struct TrainConfig {
   int cache_refresh_steps = 8;
   int cache_staleness = 1;
 
-  // Test/stress knob: per-message delivery jitter injected into the fabric
-  // (microseconds). Correctness must be timing-independent; the stress
-  // tests train with jitter and still require oracle-equal losses.
-  uint64_t fabric_jitter_us = 0;
-
   // Fault injection (DESIGN.md §8). Per-message probabilities applied on
   // every link, deterministic given `seed`. With recoverable drops the run
   // must still produce oracle-equal losses (the collectives retry lost
   // messages); with unrecoverable drops the affected link is black-holed
   // and the run fails with a TimeoutError naming the edge — provided
   // recv_timeout_ms arms a deadline (0 = wait forever, faults off the
-  // clock).
+  // clock). fault_delay_max_us alone is per-message delivery jitter:
+  // correctness must be timing-independent, so runs with it still produce
+  // oracle-equal losses.
   double fault_drop_prob = 0.0;
   double fault_dup_prob = 0.0;
   double fault_reorder_prob = 0.0;
@@ -204,19 +199,15 @@ struct TrainConfig {
   // topo_nodes × topo_gpus_per_node must equal `workers`) and per-tier link
   // costs fall out of it: cross-node deliveries pay the link_* α–β above
   // (the inter tier), same-node deliveries pay the link_intra_* cost below.
+  // With >1 node and >1 GPU/node, dense AllReduce (chunking off) and the
+  // "two-level" sparse variant route through the hierarchical collectives
+  // over the CommGroup tree: results stay within float tolerance of the
+  // flat path, AlltoAll payloads are bitwise-identical.
   // 0 = no topology (flat fabric, all deliveries priced alike).
   int topo_nodes = 0;
   int topo_gpus_per_node = 0;
   double link_intra_alpha_us = 0.0;
   double link_intra_bytes_per_us = 0.0;
-
-  // Route dense AllReduce (and the "two-level" sparse variant) through the
-  // two-level hierarchical collectives over the CommGroup tree when a
-  // topology with >1 node and >1 GPU/node is configured. On by default —
-  // without a topology it has no effect. Results stay within float
-  // tolerance of the flat path (reduction bracketing changes); AlltoAll
-  // payloads are bitwise-identical.
-  bool hierarchical_collectives = true;
 
   // Performance observatory (DESIGN.md §11). Phase accounting itself is
   // always on (it is a handful of clock reads per step); this knob controls

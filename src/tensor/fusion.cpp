@@ -36,24 +36,4 @@ void FusionGroup::unflatten(const std::vector<float>& flat) {
   }
 }
 
-std::vector<FusionGroup> plan_fusion_groups(const std::vector<Tensor*>& tensors,
-                                            int64_t budget_bytes) {
-  EMBRACE_CHECK_GT(budget_bytes, 0);
-  std::vector<FusionGroup> groups;
-  std::vector<Tensor*> current;
-  int64_t current_bytes = 0;
-  for (Tensor* t : tensors) {
-    EMBRACE_CHECK(t != nullptr);
-    if (!current.empty() && current_bytes + t->byte_size() > budget_bytes) {
-      groups.emplace_back(std::move(current));
-      current.clear();
-      current_bytes = 0;
-    }
-    current.push_back(t);
-    current_bytes += t->byte_size();
-  }
-  if (!current.empty()) groups.emplace_back(std::move(current));
-  return groups;
-}
-
 }  // namespace embrace

@@ -2,9 +2,9 @@
 // single collective carries them (Horovod's fusion buffer; also PACE's
 // "tensor fusion for better bandwidth usage", paper §6).
 //
-// Groups are formed greedily in input order up to a byte budget; a tensor
-// larger than the budget forms its own group. flatten() concatenates the
-// group's current values; unflatten() writes a modified flat buffer back.
+// Which tensors share a group is planned by comm::plan_buckets
+// (comm/chunk_plan.h). flatten() concatenates the group's current values;
+// unflatten() writes a modified flat buffer back.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@ class FusionGroup {
   explicit FusionGroup(std::vector<Tensor*> tensors);
 
   int64_t byte_size() const { return bytes_; }
-  size_t tensor_count() const { return tensors_.size(); }
 
   // Concatenation of all member tensors' contents.
   std::vector<float> flatten() const;
@@ -33,9 +32,5 @@ class FusionGroup {
   int64_t elems_ = 0;
   int64_t bytes_ = 0;
 };
-
-// Greedy grouping in input order with a per-group byte budget (> 0).
-std::vector<FusionGroup> plan_fusion_groups(const std::vector<Tensor*>& tensors,
-                                            int64_t budget_bytes);
 
 }  // namespace embrace

@@ -165,7 +165,9 @@ TEST_P(CollectiveFuzz, AllReduceCorrectUnderJitter) {
   Rng rng(seed() + 5);
   const int ranks = static_cast<int>(rng.next_int(2, 4));
   Fabric fabric(ranks);
-  fabric.set_delivery_jitter(80, seed());
+  FaultConfig jitter;
+  jitter.delay_max_us = 80;
+  fabric.set_fault_config(jitter, seed());
   run_cluster(fabric, [&](Communicator& comm) {
     for (int iter = 0; iter < 5; ++iter) {
       std::vector<float> v(11, static_cast<float>(comm.rank() + iter));

@@ -2,6 +2,7 @@
 // and end-to-end equivalence + op-count reduction in the trainer.
 #include <gtest/gtest.h>
 
+#include "comm/chunk_plan.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "embrace/strategy.h"
@@ -10,31 +11,46 @@
 namespace embrace {
 namespace {
 
+// Forms fusion groups the way the trainer does: comm::plan_buckets over
+// the tensors' byte sizes, one FusionGroup per bucket.
+std::vector<FusionGroup> fuse(const std::vector<Tensor*>& tensors,
+                              int64_t budget_bytes) {
+  std::vector<int64_t> bytes;
+  for (const Tensor* t : tensors) bytes.push_back(t->byte_size());
+  std::vector<FusionGroup> groups;
+  for (const auto& [b, e] : comm::plan_buckets(bytes, budget_bytes)) {
+    groups.emplace_back(std::vector<Tensor*>(
+        tensors.begin() + static_cast<std::ptrdiff_t>(b),
+        tensors.begin() + static_cast<std::ptrdiff_t>(e)));
+  }
+  return groups;
+}
+
 TEST(Fusion, GroupsRespectBudget) {
   Tensor a({10});  // 40 B
   Tensor b({10});
   Tensor c({10});
-  auto groups = plan_fusion_groups({&a, &b, &c}, 80);
+  auto groups = fuse({&a, &b, &c}, 80);
   ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].tensor_count(), 2u);
   EXPECT_EQ(groups[0].byte_size(), 80);
-  EXPECT_EQ(groups[1].tensor_count(), 1u);
+  EXPECT_EQ(groups[1].byte_size(), 40);
 }
 
 TEST(Fusion, OversizedTensorGetsOwnGroup) {
   Tensor small({2});
   Tensor huge({100});
   Tensor small2({2});
-  auto groups = plan_fusion_groups({&small, &huge, &small2}, 64);
+  auto groups = fuse({&small, &huge, &small2}, 64);
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[1].byte_size(), 400);
 }
 
 TEST(Fusion, SingleGroupWhenBudgetLarge) {
   Tensor a({5}), b({7});
-  auto groups = plan_fusion_groups({&a, &b}, 1 << 20);
+  auto groups = fuse({&a, &b}, 1 << 20);
   ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].tensor_count(), 2u);
+  EXPECT_EQ(groups[0].byte_size(), 48);
+  EXPECT_EQ(groups[0].flatten().size(), 12u);
 }
 
 TEST(Fusion, FlattenUnflattenRoundTrip) {
@@ -62,8 +78,7 @@ TEST(Fusion, UnflattenRejectsWrongSize) {
 
 TEST(Fusion, RejectsBadInput) {
   EXPECT_THROW(FusionGroup({}), Error);
-  Tensor a({2});
-  EXPECT_THROW(plan_fusion_groups({&a}, 0), Error);
+  EXPECT_THROW(FusionGroup({nullptr}), Error);
 }
 
 TEST(FusionTrainer, FusedTrainingMatchesUnfused) {

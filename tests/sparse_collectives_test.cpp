@@ -66,7 +66,7 @@ TEST_P(SparseCollectivesP, SparseAlltoAllRoutesPayloads) {
 TEST_P(SparseCollectivesP, TensorAllreduceSums) {
   run_cluster(n(), [&](Communicator& comm) {
     Tensor t = Tensor::full({3, 3}, static_cast<float>(comm.rank() + 1));
-    tensor_allreduce(comm, t);
+    comm.allreduce(t.flat());
     const float expected = static_cast<float>(n() * (n() + 1)) / 2.0f;
     for (float v : t.flat()) ASSERT_FLOAT_EQ(v, expected);
   });

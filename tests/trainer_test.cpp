@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "embrace/strategy.h"
+#include "obs/metrics.h"
 
 namespace embrace::core {
 namespace {
@@ -181,10 +183,13 @@ TEST(Trainer, DenseRouteGridMatchesOracle) {
   // topology. The identity wire stays oracle-equal, fp16 holds the
   // final-loss bound bench_codec gates, and on the flat fabric chunking
   // moves no loss bit. (With a topology only chunk 0 takes the two-level
-  // route, whose reduction bracketing differs from the flat ring's.)
+  // route, whose reduction bracketing differs from the flat ring's.) The
+  // other codec users, EmbRace-noVSS and Horovod-AllGather, ride the same
+  // grid: their embedding gradients take the codec and the CommGroup too.
   constexpr int kWorkers = 4;
   for (const StrategyKind s :
-       {StrategyKind::kEmbRace, StrategyKind::kHorovodAllReduce}) {
+       {StrategyKind::kEmbRace, StrategyKind::kHorovodAllReduce,
+        StrategyKind::kEmbRaceNoVss, StrategyKind::kHorovodAllGather}) {
     for (const CodecKind codec : {CodecKind::kIdentity, CodecKind::kFp16}) {
       for (const bool topo : {false, true}) {
         TrainConfig cfg = base_config();
@@ -245,6 +250,30 @@ TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
       EXPECT_LT(position("delayed/s" + std::to_string(s - 1) + "/t0"),
                 position("embdata/s" + step + "/t0"));
     }
+  }
+}
+
+TEST(Trainer, NoVssGathersOnlyCurrentIds) {
+  // With the cache off, the hybrid strategies' only allgatherv calls are
+  // the per-table id gathers on the main thread. EmbRace gathers D_cur and
+  // D_next (Algorithm 1's vertical split reads D_next); noVSS has no split,
+  // so it gathers D_cur alone: one call per rank, step and table.
+  auto& calls = obs::counter("comm.calls{collective=allgatherv}");
+  TrainConfig cfg = base_config();
+  cfg.num_tables = 2;
+  cfg.min_sentence_len = 4;
+  cfg.steps = 3;
+  constexpr int kWorkers = 3;
+  const int64_t per_pass =
+      int64_t{kWorkers} * cfg.steps * cfg.num_tables;
+  for (const auto& [s, passes] :
+       {std::pair{StrategyKind::kEmbRaceNoVss, 1},
+        std::pair{StrategyKind::kEmbRace, 2}}) {
+    cfg.strategy = s;
+    const int64_t before = calls.value();
+    run_distributed(cfg, kWorkers);
+    EXPECT_EQ(calls.value() - before, passes * per_pass)
+        << strategy_kind_name(s);
   }
 }
 
@@ -351,7 +380,7 @@ TEST(Trainer, EmbRaceCorrectUnderDeliveryJitter) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
   cfg.steps = 5;
-  cfg.fabric_jitter_us = 150;
+  cfg.fault_delay_max_us = 150;
   const auto dist = run_distributed(cfg, 3);
   const auto oracle = run_oracle(cfg, 3);
   expect_losses_close(dist.losses, oracle.losses, 2e-3f);
@@ -361,7 +390,7 @@ TEST(Trainer, AllGatherCorrectUnderDeliveryJitter) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kHorovodAllGather;
   cfg.steps = 4;
-  cfg.fabric_jitter_us = 150;
+  cfg.fault_delay_max_us = 150;
   const auto dist = run_distributed(cfg, 3);
   const auto oracle = run_oracle(cfg, 3);
   expect_losses_close(dist.losses, oracle.losses, 2e-3f);
