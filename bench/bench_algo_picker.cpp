@@ -47,8 +47,8 @@ constexpr double kBetaBytesPerUs = 10.0;
 
 // CostParams calibrated to the emulated fabric. The in-process fabric
 // charges the raw α–β law per message (no incast or pipelining exists to
-// derate), which is exactly the shape CostParams::from_measured() produces
-// from profiled deliveries: real link constants, scheme efficiencies 1.0.
+// derate), so the link constants are the fabric's own and every scheme
+// efficiency is 1.0.
 sparse::CostParams fabric_params() {
   sparse::CostParams p;
   p.link.alpha_us = kAlphaUs;
@@ -142,7 +142,7 @@ double simnet_crossover() {
 }  // namespace
 
 int main() {
-  const sparse::AlgoPicker picker(sparse::AlgoMode::kAuto, fabric_params());
+  const sparse::AlgoPicker picker(fabric_params());
 
   TextTable table({"density", "allgather us", "rec-doubling us", "dense us",
                    "auto pick", "auto us"});
@@ -251,7 +251,7 @@ int main() {
   sparse::CostParams model_params = sparse::CostParams::from_simnet_defaults();
   model_params.link.alpha_us = kAlphaUs;
   model_params.link.bytes_per_us = kBetaBytesPerUs;
-  const sparse::AlgoPicker model_picker(sparse::AlgoMode::kAuto, model_params);
+  const sparse::AlgoPicker model_picker(model_params);
   const double predicted =
       model_picker.crossover_density(kVocab, kDim, kRanks);
   const double simnet_d = simnet_crossover();

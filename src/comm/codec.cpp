@@ -96,14 +96,6 @@ const char* codec_kind_name(CodecKind kind) {
   return "unknown";
 }
 
-std::optional<CodecKind> parse_codec(std::string_view name) {
-  if (name == "identity") return CodecKind::kIdentity;
-  if (name == "fp16") return CodecKind::kFp16;
-  if (name == "bf16") return CodecKind::kBf16;
-  if (name == "topk") return CodecKind::kTopK;
-  return std::nullopt;
-}
-
 namespace {
 
 class IdentityCodec final : public Codec {

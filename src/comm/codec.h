@@ -18,9 +18,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 
 #include "comm/buffer_pool.h"
 
@@ -35,8 +33,6 @@ enum class CodecKind {
 inline constexpr int kNumCodecKinds = 4;
 
 const char* codec_kind_name(CodecKind kind);
-// "identity" | "fp16" | "bf16" | "topk" -> kind; anything else -> nullopt.
-std::optional<CodecKind> parse_codec(std::string_view name);
 
 class Codec {
  public:

@@ -11,29 +11,11 @@
 #include "embrace/hot_row_cache.h"
 #include "embrace/partitioned_embedding.h"
 #include "nn/embedding.h"
-#include "obs/perf.h"
 #include "sched/vertical.h"
-#include "sparse/algo_picker.h"
 #include "tensor/index_ops.h"
 
 namespace embrace::core {
 namespace {
-
-// Boundary mappings from the typed TrainConfig knobs to the subsystem
-// enums. TrainConfig owns the user-facing vocabulary (parse_*/name() in
-// train_config.cpp); the comm/sparse layers keep their own enums so they
-// stay usable without the trainer.
-sparse::AlgoMode to_algo_mode(SparseAlgo a) {
-  switch (a) {
-    case SparseAlgo::kAuto: return sparse::AlgoMode::kAuto;
-    case SparseAlgo::kAllgather: return sparse::AlgoMode::kForceAllgather;
-    case SparseAlgo::kRecursiveDoubling:
-      return sparse::AlgoMode::kForceRecursiveDoubling;
-    case SparseAlgo::kDense: return sparse::AlgoMode::kForceDense;
-    case SparseAlgo::kTwoLevel: return sparse::AlgoMode::kForceTwoLevel;
-  }
-  return sparse::AlgoMode::kAuto;
-}
 
 // kAdaptive never reaches this mapping: the adaptive policy is a trainer
 // concern (CodecPolicy) with no single comm::Codec equivalent.
@@ -141,17 +123,9 @@ class HybridSync : public EmbeddingSync {
           shards_[t].get(), opts_[t].get(),
           make_sparse_optim(cfg, cfg.vocab, cfg.dim), cache_cfg);
     }
-    // The refresh-time cut pricing needs CostParams identical on every
-    // rank WITHOUT a broadcast (refresh runs deep inside a comm op): use
-    // the simnet defaults overridden by the explicit link knobs — a pure
-    // function of cfg, unlike the measured-profile path the allgather
-    // picker takes.
-    sparse::CostParams params = sparse::CostParams::from_simnet_defaults();
-    if (cfg.link_alpha_us > 0.0) params.link.alpha_us = cfg.link_alpha_us;
-    if (cfg.link_bytes_per_us > 0.0) {
-      params.link.bytes_per_us = cfg.link_bytes_per_us;
-    }
-    cache_picker_.emplace(sparse::AlgoMode::kAuto, params, cfg.chunk_bytes);
+    // The refresh-time cut pricing runs deep inside a comm op, which
+    // cost_params allows: it needs no exchange to be rank-agreed.
+    cache_picker_.emplace(cost_params(cfg), cfg.chunk_bytes);
     if (ctx_.dense_codec != nullptr) {
       cache_picker_->set_codec_cost(
           comm::codec_wire_bytes_per_value(*ctx_.dense_codec));
@@ -338,55 +312,9 @@ class HorovodAllReduceSync final : public ReplicatedSync {
 // chooses the algorithm per op (DESIGN.md §12).
 class HorovodAllGatherSync final : public ReplicatedSync {
  public:
-  explicit HorovodAllGatherSync(SyncContext& ctx) : ReplicatedSync(ctx) {
-    const TrainConfig& cfg = ctx_.cfg;
-    // Cost params are fixed for the whole run and must be identical on
-    // every rank (a split-brain algorithm choice deadlocks the
-    // collective): rank 0 resolves measured-profile-vs-simnet-defaults and
-    // broadcasts the α–β pair before the step loop.
-    const sparse::AlgoMode mode = to_algo_mode(cfg.sparse_algo);
-    // Rank 0's view of the link profile is authoritative: its {α, β,
-    // measured?} triple is broadcast so every rank prices ops from the
-    // exact same constants — a rank pair disagreeing on the efficiency set
-    // would split-brain the algorithm choice.
-    sparse::CostParams params = sparse::CostParams::from_simnet_defaults();
-    std::vector<float> ab(3);
-    if (ctx_.rank == 0) {
-      if (auto measured =
-              sparse::CostParams::from_measured(obs::link_profiler())) {
-        params = *measured;
-        ab[2] = 1.0f;
-      }
-      ab[0] = static_cast<float>(params.link.alpha_us);
-      ab[1] = static_cast<float>(params.link.bytes_per_us);
-    }
-    ctx_.main_ch.broadcast(ab, /*root=*/0);
-    params.link.alpha_us = static_cast<double>(ab[0]);
-    params.link.bytes_per_us = static_cast<double>(ab[1]);
-    if (ab[2] != 0.0f) {
-      // Measured constants carry no scheme derate (see from_measured).
-      params.allgather_eff = 1.0;
-      params.allreduce_eff = 1.0;
-      params.alltoall_eff = 1.0;
-    }
-    // Topology terms are rank-agreed by construction (pure functions of the
-    // shared TrainConfig), so they need no broadcast. Only a real two-tier
-    // layout admits kTwoLevelRing into the candidate set — the runtime could
-    // not honor the pick otherwise.
-    if (ctx_.grp != nullptr && ctx_.grp->two_level()) {
-      params.nodes = cfg.topo_nodes;
-      params.gpus_per_node = cfg.topo_gpus_per_node;
-      const sparse::CostParams defaults =
-          sparse::CostParams::from_simnet_defaults();
-      params.intra.alpha_us = cfg.link_intra_alpha_us > 0.0
-                                  ? cfg.link_intra_alpha_us
-                                  : defaults.intra.alpha_us;
-      params.intra.bytes_per_us = cfg.link_intra_bytes_per_us > 0.0
-                                      ? cfg.link_intra_bytes_per_us
-                                      : defaults.intra.bytes_per_us;
-    }
-    algo_picker_.emplace(mode, params, cfg.chunk_bytes);
-  }
+  explicit HorovodAllGatherSync(SyncContext& ctx)
+      : ReplicatedSync(ctx), algo_picker_(cost_params(ctx.cfg),
+                                          ctx.cfg.chunk_bytes) {}
 
   void exchange_grad(int step, int t, SparseRows grad,
                      std::vector<sched::Handle>& handles) override {
@@ -420,11 +348,11 @@ class HorovodAllGatherSync final : public ReplicatedSync {
                                       static_cast<double>(stats[3])
                                 : 0.0;
             codec = ctx_.codec_policy->choose(t, mean_abs);
-            algo_picker_->set_codec_cost(
+            algo_picker_.set_codec_cost(
                 codec != nullptr ? comm::codec_wire_bytes_per_value(*codec)
                                  : 4.0);
           }
-          const sparse::AlgoChoice choice = algo_picker_->choose(
+          const sparse::AlgoChoice choice = algo_picker_.choose(
               est, ctx_.cfg.vocab, ctx_.cfg.dim, ctx_.workers);
           SparseRows g = grad;
           ctx_.apply_sparse_ef(t, g, codec);
@@ -442,7 +370,7 @@ class HorovodAllGatherSync final : public ReplicatedSync {
   }
 
  private:
-  std::optional<sparse::AlgoPicker> algo_picker_;
+  sparse::AlgoPicker algo_picker_;
 };
 
 // Embedding tables on shared parameter servers (make_param_servers): the
@@ -525,6 +453,29 @@ std::unique_ptr<nn::SparseOptimizer> make_sparse_optim(const TrainConfig& c,
                                               /*modified=*/true);
   }
   return nullptr;
+}
+
+sparse::CostParams cost_params(const TrainConfig& cfg) {
+  const sparse::CostParams defaults =
+      sparse::CostParams::from_simnet_defaults();
+  const auto knob = [](double v, double fallback) {
+    return v > 0.0 ? v : fallback;
+  };
+  sparse::CostParams p = defaults;
+  p.link.alpha_us = knob(cfg.link_alpha_us, defaults.link.alpha_us);
+  p.link.bytes_per_us =
+      knob(cfg.link_bytes_per_us, defaults.link.bytes_per_us);
+  // Only a real two-tier layout admits kTwoLevelRing into the candidate
+  // set: the same condition as CommGroup::two_level() on a validated
+  // config, so the runtime can always honor the pick.
+  if (cfg.topo_nodes > 1 && cfg.topo_gpus_per_node > 1) {
+    p.nodes = cfg.topo_nodes;
+    p.gpus_per_node = cfg.topo_gpus_per_node;
+    p.intra.alpha_us = knob(cfg.link_intra_alpha_us, defaults.intra.alpha_us);
+    p.intra.bytes_per_us =
+        knob(cfg.link_intra_bytes_per_us, defaults.intra.bytes_per_us);
+  }
+  return p;
 }
 
 void SyncContext::enable_codec() {

@@ -22,6 +22,7 @@
 #include "embrace/strategy.h"
 #include "nn/optim.h"
 #include "sched/negotiated_scheduler.h"
+#include "sparse/algo_picker.h"
 #include "sparse/codec_policy.h"
 #include "tensor/sparse_rows.h"
 
@@ -68,6 +69,13 @@ void scatter_rows(const Tensor& rows, const std::vector<int64_t>& pos,
 std::unique_ptr<nn::SparseOptimizer> make_sparse_optim(const TrainConfig& c,
                                                        int64_t rows,
                                                        int64_t dim);
+
+// The α–β link every AlgoPicker prices (DESIGN.md §12): simnet's defaults,
+// each overridden by its link_* knob when that knob is > 0, plus the node
+// layout and intra-node tier when the topology has a real second tier. A
+// pure function of the shared config, so it is rank-agreed without any
+// exchange and safe to call from inside a comm op.
+sparse::CostParams cost_params(const TrainConfig& cfg);
 
 // What the strategies share with the step loop, one per rank. The wire
 // codec stays off until a strategy that puts embedding gradients on the

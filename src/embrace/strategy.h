@@ -33,25 +33,11 @@ const char* strategy_kind_name(StrategyKind s);
 
 enum class OptimKind { kSgd, kAdagrad, kAdam };
 
-// Typed config-surface enums. Strings exist only at the config boundary
-// (CLI flags, JSON): parse them once with the parse_* helpers below and
-// carry the enum everywhere else — validate() and the trainer switch on
-// these, never on spellings.
-
-// Sparse AllReduce algorithm for kHorovodAllGather's embedding gradients
-// (DESIGN.md §12). kAuto lets the AlgoPicker price the variants per op
-// under the α–β model; the rest force one variant.
-enum class SparseAlgo {
-  kAuto,
-  kAllgather,
-  kRecursiveDoubling,
-  kDense,
-  kTwoLevel,
-};
-
 // Gradient wire codec (DESIGN.md §14). kAdaptive is a policy, not a wire
 // format: it picks between bf16 and top-k per table from the rank-agreed
 // mean |grad| (which is why it exists here and not in comm::CodecKind).
+// Strings exist only at the config boundary (CLI flags, JSON): parse them
+// once with parse_codec_kind and carry the enum everywhere else.
 enum class CodecKind {
   kIdentity,
   kFp16,
@@ -61,9 +47,7 @@ enum class CodecKind {
 };
 
 // Boundary helpers: spelling -> enum (nullopt on unknown names) and the
-// canonical spelling back. Round-trip: parse_*(..._name(x)) == x.
-std::optional<SparseAlgo> parse_sparse_algo(std::string_view s);
-const char* sparse_algo_name(SparseAlgo a);
+// canonical spelling back; parse_codec_kind(codec_kind_name(c)) == c.
 std::optional<CodecKind> parse_codec_kind(std::string_view s);
 const char* codec_kind_name(CodecKind c);
 
@@ -123,15 +107,6 @@ struct TrainConfig {
   // When > 0, must be in [64, 1 GiB] (validate()).
   int64_t chunk_bytes = 0;
 
-  // Sparse AllReduce algorithm for kHorovodAllGather's embedding gradients
-  // (DESIGN.md §12): kAuto lets the AlgoPicker price the variants per op
-  // under the α–β model; the rest force one. Losses are within float
-  // tolerance of each other for every setting (the variants differ only in
-  // reduction order). String spellings ("auto" | "allgather" |
-  // "recursive-doubling" | "dense" | "two-level") live at the config
-  // boundary only — parse_sparse_algo / sparse_algo_name.
-  SparseAlgo sparse_algo = SparseAlgo::kAuto;
-
   // Gradient wire codec (DESIGN.md §14): kIdentity (no compression, wire
   // byte-for-byte as before), kFp16 | kBf16 (half-width casts), kTopK
   // (keep the codec_topk largest-|v| fraction per payload, error feedback
@@ -190,7 +165,9 @@ struct TrainConfig {
   // > 0, every cross-rank fabric delivery occupies the link for
   // link_alpha_us + bytes / link_bytes_per_us microseconds before landing.
   // Gives the in-process fabric a real (configurable) network profile, so
-  // the online link profiler has something to measure.
+  // the online link profiler has something to measure. The sparse-algorithm
+  // and hot-row-cache pickers price the same link (cost_params in
+  // embedding_sync.h); 0 there means simnet's default constant.
   double link_alpha_us = 0.0;
   double link_bytes_per_us = 0.0;
 

@@ -29,26 +29,6 @@ std::string format_errors(const std::vector<ConfigError>& errors) {
 ConfigValidationError::ConfigValidationError(std::vector<ConfigError> errors)
     : Error(format_errors(errors)), errors_(std::move(errors)) {}
 
-std::optional<SparseAlgo> parse_sparse_algo(std::string_view s) {
-  if (s == "auto") return SparseAlgo::kAuto;
-  if (s == "allgather") return SparseAlgo::kAllgather;
-  if (s == "recursive-doubling") return SparseAlgo::kRecursiveDoubling;
-  if (s == "dense") return SparseAlgo::kDense;
-  if (s == "two-level") return SparseAlgo::kTwoLevel;
-  return std::nullopt;
-}
-
-const char* sparse_algo_name(SparseAlgo a) {
-  switch (a) {
-    case SparseAlgo::kAuto: return "auto";
-    case SparseAlgo::kAllgather: return "allgather";
-    case SparseAlgo::kRecursiveDoubling: return "recursive-doubling";
-    case SparseAlgo::kDense: return "dense";
-    case SparseAlgo::kTwoLevel: return "two-level";
-  }
-  return "?";
-}
-
 std::optional<CodecKind> parse_codec_kind(std::string_view s) {
   if (s == "identity") return CodecKind::kIdentity;
   if (s == "fp16") return CodecKind::kFp16;

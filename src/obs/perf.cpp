@@ -151,7 +151,7 @@ LinkFit LinkProfiler::solve(int src, int dst, const Stats& s) {
   // exact and the residue case.
   if (s.n < 2 || det <= 1e-9 * n * s.sum_xx) {
     // No slope is identifiable: report the mean cost as pure latency and
-    // flag the fit so aggregation skips it.
+    // flag the fit.
     f.alpha_us = s.sum_y / n;
     f.degenerate = true;
     return f;
@@ -183,36 +183,6 @@ std::vector<LinkFit> LinkProfiler::fits(int64_t min_samples) const {
     out.push_back(solve(key.first, key.second, stats));
   }
   return out;
-}
-
-LinkFit LinkProfiler::aggregate_fit(int64_t min_samples) const {
-  const std::vector<LinkFit> per_link = fits(min_samples);
-  LinkFit agg;
-  agg.src = -1;
-  agg.dst = -1;
-  if (per_link.empty()) return agg;
-  double alpha_sum = 0.0;
-  double bw_sum = 0.0;
-  int64_t alpha_links = 0;
-  int64_t bw_links = 0;
-  for (const LinkFit& f : per_link) {
-    // A degenerate fit's α is the mean cost at one message size — folding
-    // it in would bias the fleet α upward by that size's transfer time.
-    if (f.degenerate) continue;
-    agg.samples += f.samples;
-    alpha_sum += f.alpha_us;
-    alpha_links += 1;
-    if (f.bytes_per_us > 0.0) {
-      bw_sum += f.bytes_per_us;
-      bw_links += 1;
-    }
-  }
-  if (alpha_links == 0) return agg;  // samples == 0: nothing usable
-  agg.alpha_us = alpha_sum / static_cast<double>(alpha_links);
-  // Links where no slope was identifiable contribute latency only; if none
-  // identified a slope the aggregate stays bandwidth-free (0 = unmodeled).
-  if (bw_links > 0) agg.bytes_per_us = bw_sum / static_cast<double>(bw_links);
-  return agg;
 }
 
 void LinkProfiler::reset() {

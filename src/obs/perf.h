@@ -155,7 +155,7 @@ struct LinkFit {
   // observations, or zero byte-size variance (every sample the same size,
   // which drives the least-squares determinant to ~0 and would otherwise
   // amplify float noise into a garbage bandwidth). Degenerate fits report
-  // α = mean cost, bandwidth = 0, and are excluded from aggregate_fit.
+  // α = mean cost and bandwidth = 0.
   bool degenerate = false;
 
   double gbps() const { return bytes_per_us * 8e6 / 1e9; }
@@ -177,14 +177,6 @@ class LinkProfiler {
 
   // All links with at least `min_samples` observations, ordered (src, dst).
   std::vector<LinkFit> fits(int64_t min_samples = 2) const;
-
-  // Whole-fabric summary for uniform-cost consumers (the AlgoPicker's
-  // CostParams): mean fitted α over qualifying links and mean bandwidth over
-  // links with an identifiable slope, src/dst = -1. Degenerate fits (see
-  // LinkFit::degenerate) are excluded entirely — their "α" is really a mean
-  // cost at one message size and would bias the latency estimate upward.
-  // samples == 0 when no link has `min_samples` non-degenerate observations.
-  LinkFit aggregate_fit(int64_t min_samples = 2) const;
 
   // Drops every sample (the enabled flag is untouched).
   void reset();

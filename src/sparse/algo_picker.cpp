@@ -93,26 +93,6 @@ double merged_density(double d, double k) {
 
 }  // namespace
 
-std::optional<AlgoMode> parse_sparse_algo(std::string_view s) {
-  if (s == "auto") return AlgoMode::kAuto;
-  if (s == "allgather") return AlgoMode::kForceAllgather;
-  if (s == "recursive-doubling") return AlgoMode::kForceRecursiveDoubling;
-  if (s == "dense") return AlgoMode::kForceDense;
-  if (s == "two-level") return AlgoMode::kForceTwoLevel;
-  return std::nullopt;
-}
-
-const char* algo_mode_name(AlgoMode m) {
-  switch (m) {
-    case AlgoMode::kAuto: return "auto";
-    case AlgoMode::kForceAllgather: return "allgather";
-    case AlgoMode::kForceRecursiveDoubling: return "recursive-doubling";
-    case AlgoMode::kForceDense: return "dense";
-    case AlgoMode::kForceTwoLevel: return "two-level";
-  }
-  return "?";
-}
-
 CostParams CostParams::from_simnet_defaults() {
   const simnet::NetworkParams net;  // single source of truth with the sim
   CostParams p;
@@ -120,23 +100,6 @@ CostParams CostParams::from_simnet_defaults() {
   p.link.bytes_per_us = net.inter_node_bw / 1e6;
   p.intra.alpha_us = net.intra_node_latency * 1e6;
   p.intra.bytes_per_us = net.intra_node_bw / 1e6;
-  return p;
-}
-
-std::optional<CostParams> CostParams::from_measured(
-    const obs::LinkProfiler& profiler, int64_t min_samples) {
-  const obs::LinkFit agg = profiler.aggregate_fit(min_samples);
-  if (agg.samples == 0) return std::nullopt;
-  CostParams p;
-  p.link.alpha_us = agg.alpha_us;
-  p.link.bytes_per_us = agg.bytes_per_us;
-  // A measured fit is observed end-to-end delivery time, so every real
-  // derating (incast, pipelining, software overhead) is already folded into
-  // the fitted α–β; applying simnet's per-scheme efficiency factors on top
-  // would double-count it.
-  p.allgather_eff = 1.0;
-  p.allreduce_eff = 1.0;
-  p.alltoall_eff = 1.0;
   return p;
 }
 
@@ -167,25 +130,12 @@ DensityEstimate DensityEstimate::from_allreduced(double sum_density,
   return est;
 }
 
-AlgoPicker::AlgoPicker(AlgoMode mode, CostParams params, int64_t chunk_bytes)
-    : mode_(mode), params_(params), chunk_bytes_(chunk_bytes) {}
+AlgoPicker::AlgoPicker(CostParams params, int64_t chunk_bytes)
+    : params_(params), chunk_bytes_(chunk_bytes) {}
 
 void AlgoPicker::set_codec_cost(double wire_bytes_per_value) {
   EMBRACE_CHECK_GT(wire_bytes_per_value, 0.0);
-  analytic_value_bytes_ = wire_bytes_per_value;
-}
-
-void AlgoPicker::observe_compression(double bytes_out_per_in) {
-  if (!(bytes_out_per_in > 0.0)) return;  // also rejects NaN
-  measured_ratio_ewma_ = measured_ratio_ewma_ == 0.0
-                             ? bytes_out_per_in
-                             : 0.8 * measured_ratio_ewma_ +
-                                   0.2 * bytes_out_per_in;
-}
-
-double AlgoPicker::value_bytes() const {
-  return measured_ratio_ewma_ > 0.0 ? 4.0 * measured_ratio_ewma_
-                                    : analytic_value_bytes_;
+  value_bytes_ = wire_bytes_per_value;
 }
 
 double AlgoPicker::predict_us(comm::SparseAlgoKind algo, double density,
@@ -368,44 +318,27 @@ AlgoChoice AlgoPicker::choose(const DensityEstimate& est, int64_t rows,
                               int64_t dim, int world) const {
   AlgoChoice choice;
   choice.chunk_bytes = chunk_bytes_;
-  switch (mode_) {
-    case AlgoMode::kForceAllgather:
-      choice.algo = comm::SparseAlgoKind::kSplitAllgather;
-      break;
-    case AlgoMode::kForceRecursiveDoubling:
-      choice.algo = comm::SparseAlgoKind::kRecursiveDoubling;
-      break;
-    case AlgoMode::kForceDense:
-      choice.algo = comm::SparseAlgoKind::kDenseRing;
-      break;
-    case AlgoMode::kForceTwoLevel:
-      choice.algo = comm::SparseAlgoKind::kTwoLevelRing;
-      break;
-    case AlgoMode::kAuto: {
-      // Fixed candidate order makes ties deterministic (and rank-agreed).
-      // Two-level only competes when the params describe a real two-tier
-      // layout — every rank derives nodes/gpus_per_node from the shared
-      // fabric topology, so the candidate set itself is rank-agreed too.
-      constexpr comm::SparseAlgoKind kCandidates[] = {
-          comm::SparseAlgoKind::kSplitAllgather,
-          comm::SparseAlgoKind::kRecursiveDoubling,
-          comm::SparseAlgoKind::kDenseRing,
-          comm::SparseAlgoKind::kTwoLevelRing,
-      };
-      const bool two_tier = params_.nodes > 1 && params_.gpus_per_node > 1;
-      double best = -1.0;
-      for (comm::SparseAlgoKind k : kCandidates) {
-        if (k == comm::SparseAlgoKind::kTwoLevelRing && !two_tier) continue;
-        const double cost = predict_us(k, est, rows, dim, world);
-        if (best < 0.0 || cost < best) {
-          best = cost;
-          choice.algo = k;
-        }
-      }
-      break;
+  // Fixed candidate order makes ties deterministic (and rank-agreed).
+  // Two-level only competes when the params describe a real two-tier
+  // layout — every rank derives nodes/gpus_per_node from the shared
+  // config, so the candidate set itself is rank-agreed too.
+  constexpr comm::SparseAlgoKind kCandidates[] = {
+      comm::SparseAlgoKind::kSplitAllgather,
+      comm::SparseAlgoKind::kRecursiveDoubling,
+      comm::SparseAlgoKind::kDenseRing,
+      comm::SparseAlgoKind::kTwoLevelRing,
+  };
+  const bool two_tier = params_.nodes > 1 && params_.gpus_per_node > 1;
+  double best = -1.0;
+  for (comm::SparseAlgoKind k : kCandidates) {
+    if (k == comm::SparseAlgoKind::kTwoLevelRing && !two_tier) continue;
+    const double cost = predict_us(k, est, rows, dim, world);
+    if (best < 0.0 || cost < best) {
+      best = cost;
+      choice.algo = k;
     }
   }
-  choice.predicted_us = predict_us(choice.algo, est, rows, dim, world);
+  choice.predicted_us = best;
   return choice;
 }
 

@@ -6,47 +6,29 @@
 // and the full-payload fan-out lose to the ring AllReduce's bandwidth-
 // optimal 2(N−1)·M/N dense schedule, with recursive doubling's log₂(N)
 // rounds competitive in between on latency-bound fabrics. The AlgoPicker
-// prices all three variants of comm::sparse_allreduce under the α–β model
-// and picks the cheapest — or obeys a forced mode from
-// TrainConfig::sparse_algo.
+// prices all variants of comm::sparse_allreduce under the α–β model and
+// picks the cheapest.
 //
 // Inputs are deliberately rank-agreeable: density, row-space geometry, and
 // world size are scalars every rank can compute identically (the trainer
-// allreduces the nnz count first), and the CostParams are fixed per run —
-// so every rank makes the same pick and the SPMD collective contract holds
-// (a split-brain algorithm choice deadlocks the fabric).
+// allreduces the nnz count first), and the CostParams are a pure function
+// of the shared run config — so every rank makes the same pick and the
+// SPMD collective contract holds (a split-brain algorithm choice deadlocks
+// the fabric).
 //
-// Cost constants come from, in priority order: the fabric's measured
-// LinkCost profile (obs::LinkProfiler α–β fits, aggregated), else the
-// simnet cost model's NetworkParams defaults — one source of truth with
-// the simulator, which is what makes the predicted crossover comparable to
-// simnet's measured one (bench_algo_picker gates on a factor of 2).
+// Cost constants start from the simnet cost model's NetworkParams defaults
+// — one source of truth with the simulator, which is what makes the
+// predicted crossover comparable to simnet's measured one (bench_algo_picker
+// gates on a factor of 2) — and the trainer overrides them with its
+// configured link (core::cost_params).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "comm/fabric.h"
 #include "comm/sparse_collectives.h"
-#include "obs/perf.h"
 
 namespace embrace::sparse {
-
-// Picker mode: auto-select by predicted cost, or force one variant.
-// String forms (TrainConfig::sparse_algo): "auto", "allgather",
-// "recursive-doubling", "dense", "two-level".
-enum class AlgoMode {
-  kAuto,
-  kForceAllgather,
-  kForceRecursiveDoubling,
-  kForceDense,
-  kForceTwoLevel,
-};
-
-// Parses the TrainConfig::sparse_algo spelling; nullopt on unknown names.
-std::optional<AlgoMode> parse_sparse_algo(std::string_view s);
-const char* algo_mode_name(AlgoMode m);
 
 // α–β link cost plus per-scheme bandwidth-efficiency factors. The
 // efficiencies mirror simnet::SchemeEfficiency (ring AllReduce pipelines
@@ -68,18 +50,10 @@ struct CostParams {
   double allreduce_eff = 0.90;   // simnet SchemeEfficiency::allreduce
   double alltoall_eff = 0.62;    // simnet SchemeEfficiency::alltoall
 
-  // Fallback constants from simnet's NetworkParams{} (100 Gbps inter-node
-  // link at α = 30µs, PCIe-class intra-node link at α = 3µs) — used when no
-  // link profile exists. The node layout stays 1×1; callers with a real
-  // topology (Fabric::has_topology) fill nodes/gpus_per_node themselves.
+  // Constants from simnet's NetworkParams{} (100 Gbps inter-node link at
+  // α = 30µs, PCIe-class intra-node link at α = 3µs). The node layout stays
+  // 1×1; callers with a real topology fill nodes/gpus_per_node themselves.
   static CostParams from_simnet_defaults();
-  // Aggregated measured α–β fit from the online link profiler; nullopt when
-  // fewer than `min_samples` observations exist on every link. Measured
-  // deliveries already include every real derating, so all scheme
-  // efficiencies are 1.0 here — the simnet factors only derate the
-  // *analytic* fallback constants above.
-  static std::optional<CostParams> from_measured(const obs::LinkProfiler& p,
-                                                 int64_t min_samples = 2);
 };
 
 // Two-moment density estimate for one sparse op: the mean per-rank
@@ -129,15 +103,14 @@ class AlgoPicker {
  public:
   // `chunk_bytes` is the dense ring's chunk granularity (<= 0 = one slice
   // per ring step); it feeds both the dense cost prediction and the choice.
-  AlgoPicker(AlgoMode mode, CostParams params, int64_t chunk_bytes = 0);
+  explicit AlgoPicker(CostParams params, int64_t chunk_bytes = 0);
 
-  AlgoMode mode() const { return mode_; }
   const CostParams& params() const { return params_; }
 
   // Predicted one-op wall cost in µs for a gradient over a (rows × dim)
   // row space on a `world`-rank fabric. Pure functions of their arguments
   // plus the picker's codec-cost state — identical on every rank as long
-  // as set_codec_cost/observe_compression are fed rank-agreed values.
+  // as set_codec_cost is fed rank-agreed values.
   // Per-rank payloads (allgather legs, recursive doubling's first round)
   // are priced at est.per_rank; merged payloads ramp from per_rank toward
   // est.merged round by round.
@@ -156,9 +129,8 @@ class AlgoPicker {
   // fallback. 1.0 when the dense ring never wins (e.g. world == 1).
   double crossover_density(int64_t rows, int64_t dim, int world) const;
 
-  // The decision: cheapest predicted variant in kAuto, the forced variant
-  // otherwise (its predicted cost still filled in). Deterministic ties
-  // break toward allgather, then recursive doubling.
+  // The decision: the cheapest predicted variant. Deterministic ties break
+  // toward allgather, then recursive doubling.
   AlgoChoice choose(const DensityEstimate& est, int64_t rows, int64_t dim,
                     int world) const;
   // Single-density convenience: delegates through
@@ -184,15 +156,12 @@ class AlgoPicker {
   // 4.0 = uncompressed floats). Scales the value sections of the sparse
   // payload model and the compressed stages of the dense models (the whole
   // ring for kDenseRing, the inter-node stage only for kTwoLevelRing —
-  // mirroring which stages the runtime actually encodes). Seed it with
-  // comm::codec_wire_bytes_per_value(codec); feed observe_compression with
-  // the measured rank-agreed bytes_out/bytes_in ratio to refine the
-  // analytic seed online (EWMA; measured wins once any sample exists).
-  // SPMD contract: both must be fed identical values on every rank, or the
-  // predicted costs — and hence the picks — split-brain.
+  // mirroring which stages the runtime actually encodes). Set it from
+  // comm::codec_wire_bytes_per_value(codec). SPMD contract: it must be fed
+  // identical values on every rank, or the predicted costs — and hence the
+  // picks — split-brain.
   void set_codec_cost(double wire_bytes_per_value);
-  void observe_compression(double bytes_out_per_in);
-  double value_bytes() const;  // effective bytes/value used by the model
+  double value_bytes() const { return value_bytes_; }
 
   // Observability for a decision actually executed: bumps the per-algorithm
   // pick/byte counters ("sparse.algo.picks{algo=...}",
@@ -201,13 +170,9 @@ class AlgoPicker {
   static void record(const AlgoChoice& choice, int64_t wire_bytes);
 
  private:
-  AlgoMode mode_;
   CostParams params_;
   int64_t chunk_bytes_;
-  // Codec wire cost: analytic seed (4.0 = raw floats) and the EWMA of
-  // measured compression ratios (0 = no samples yet; see value_bytes()).
-  double analytic_value_bytes_ = 4.0;
-  double measured_ratio_ewma_ = 0.0;
+  double value_bytes_ = 4.0;  // codec wire cost; 4.0 = raw floats
 };
 
 }  // namespace embrace::sparse

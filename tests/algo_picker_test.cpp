@@ -172,24 +172,6 @@ TEST(AlgoOracleEdge, DenseRingChunkingIsBitwiseInvariant) {
 
 // --- picker unit tests ---
 
-TEST(ParseSparseAlgo, AcceptsAllSpellingsRejectsUnknown) {
-  EXPECT_EQ(parse_sparse_algo("auto"), AlgoMode::kAuto);
-  EXPECT_EQ(parse_sparse_algo("allgather"), AlgoMode::kForceAllgather);
-  EXPECT_EQ(parse_sparse_algo("recursive-doubling"),
-            AlgoMode::kForceRecursiveDoubling);
-  EXPECT_EQ(parse_sparse_algo("dense"), AlgoMode::kForceDense);
-  EXPECT_EQ(parse_sparse_algo("two-level"), AlgoMode::kForceTwoLevel);
-  EXPECT_FALSE(parse_sparse_algo("ring").has_value());
-  EXPECT_FALSE(parse_sparse_algo("").has_value());
-  EXPECT_FALSE(parse_sparse_algo("Auto").has_value());
-  for (AlgoMode m :
-       {AlgoMode::kAuto, AlgoMode::kForceAllgather,
-        AlgoMode::kForceRecursiveDoubling, AlgoMode::kForceDense,
-        AlgoMode::kForceTwoLevel}) {
-    EXPECT_EQ(parse_sparse_algo(algo_mode_name(m)), m);  // round-trips
-  }
-}
-
 TEST(CostParams, SimnetDefaultsMirrorNetworkParams) {
   const CostParams p = CostParams::from_simnet_defaults();
   // simnet::NetworkParams{}: 30us latency, 100 Gbps = 12.5 GB/s links.
@@ -200,52 +182,8 @@ TEST(CostParams, SimnetDefaultsMirrorNetworkParams) {
   EXPECT_DOUBLE_EQ(p.alltoall_eff, 0.62);
 }
 
-TEST(CostParams, FromMeasuredIsEmptyWithoutSamples) {
-  obs::LinkProfiler profiler;
-  EXPECT_FALSE(CostParams::from_measured(profiler).has_value());
-}
-
-TEST(CostParams, FromMeasuredAveragesLinkFits) {
-  obs::LinkProfiler profiler;
-  profiler.set_enabled(true);
-  // Two links, exact α–β laws: t = 10 + n/100 and t = 20 + n/300.
-  for (int64_t n : {100, 1000, 10000}) {
-    profiler.record(0, 1, n, 10.0 + static_cast<double>(n) / 100.0);
-    profiler.record(1, 0, n, 20.0 + static_cast<double>(n) / 300.0);
-  }
-  const auto measured = CostParams::from_measured(profiler);
-  ASSERT_TRUE(measured.has_value());
-  EXPECT_NEAR(measured->link.alpha_us, 15.0, 1e-6);
-  EXPECT_NEAR(measured->link.bytes_per_us, 200.0, 1e-6);
-  // Measured fits include every real derating already: no scheme
-  // efficiency is applied on top.
-  EXPECT_DOUBLE_EQ(measured->allgather_eff, 1.0);
-  EXPECT_DOUBLE_EQ(measured->allreduce_eff, 1.0);
-  EXPECT_DOUBLE_EQ(measured->alltoall_eff, 1.0);
-}
-
-TEST(AlgoPicker, ForcedModesPickTheForcedVariant) {
-  const CostParams params = CostParams::from_simnet_defaults();
-  struct Case {
-    AlgoMode mode;
-    SparseAlgoKind want;
-  } cases[] = {
-      {AlgoMode::kForceAllgather, SparseAlgoKind::kSplitAllgather},
-      {AlgoMode::kForceRecursiveDoubling, SparseAlgoKind::kRecursiveDoubling},
-      {AlgoMode::kForceDense, SparseAlgoKind::kDenseRing},
-  };
-  for (const Case& c : cases) {
-    AlgoPicker picker(c.mode, params);
-    for (double d : {0.001, 0.5, 1.0}) {
-      const AlgoChoice choice = picker.choose(d, 4096, 32, 4);
-      EXPECT_EQ(choice.algo, c.want) << algo_mode_name(c.mode);
-      EXPECT_GT(choice.predicted_us, 0.0);
-    }
-  }
-}
-
 TEST(AlgoPicker, AutoPicksSparseWhenSparseDenseWhenDense) {
-  AlgoPicker picker(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker picker(CostParams::from_simnet_defaults());
   const int64_t rows = 4096, dim = 32;
   const int world = 4;
   const double d_star = picker.crossover_density(rows, dim, world);
@@ -272,7 +210,7 @@ TEST(AlgoPicker, AutoPicksSparseWhenSparseDenseWhenDense) {
 TEST(AlgoPicker, CrossoverEquatesAllgatherAndDenseCosts) {
   // The closed form drops only the 24-byte header, so at d* the two
   // predictions agree to well under a percent at this payload scale.
-  AlgoPicker picker(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker picker(CostParams::from_simnet_defaults());
   const int64_t rows = 8192, dim = 32;
   const int world = 4;
   const double d_star = picker.crossover_density(rows, dim, world);
@@ -285,7 +223,7 @@ TEST(AlgoPicker, CrossoverEquatesAllgatherAndDenseCosts) {
 }
 
 TEST(AlgoPicker, SingleRankIsFreeAndNeverDense) {
-  AlgoPicker picker(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker picker(CostParams::from_simnet_defaults());
   for (SparseAlgoKind k : kAllVariants) {
     EXPECT_EQ(picker.predict_us(k, 0.5, 1024, 16, 1), 0.0);
   }
@@ -298,7 +236,7 @@ TEST(AlgoPicker, InfiniteBandwidthNeverPicksDense) {
   CostParams params;
   params.link.alpha_us = 30.0;
   params.link.bytes_per_us = 0.0;
-  AlgoPicker picker(AlgoMode::kAuto, params);
+  AlgoPicker picker(params);
   EXPECT_EQ(picker.crossover_density(4096, 32, 4), 1.0);
   for (double d : {0.01, 0.5, 1.0}) {
     EXPECT_NE(picker.choose(d, 4096, 32, 4).algo, SparseAlgoKind::kDenseRing);
@@ -306,7 +244,7 @@ TEST(AlgoPicker, InfiniteBandwidthNeverPicksDense) {
 }
 
 TEST(AlgoPicker, PredictionIsMonotoneInDensityForSparseFormats) {
-  AlgoPicker picker(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker picker(CostParams::from_simnet_defaults());
   double prev_ag = -1.0, prev_rd = -1.0;
   for (double d : {0.0, 0.1, 0.3, 0.6, 1.0}) {
     const double ag =
@@ -335,7 +273,7 @@ TEST(AlgoPicker, PredictionsFiniteAtExtremeDensityAndScale) {
   params.gpus_per_node = 8;
   params.intra.alpha_us = 2.0;
   params.intra.bytes_per_us = 50000.0;
-  AlgoPicker picker(AlgoMode::kAuto, params);
+  AlgoPicker picker(params);
   constexpr comm::SparseAlgoKind kEvery[] = {
       SparseAlgoKind::kSplitAllgather,
       SparseAlgoKind::kRecursiveDoubling,
@@ -371,7 +309,7 @@ TEST(AlgoPickerTwoLevel, FlatLayoutFallsBackToDenseRingAndIsNeverChosen) {
   CostParams params = CostParams::from_simnet_defaults();
   params.intra.alpha_us = 1.0;
   params.intra.bytes_per_us = 50000.0;
-  AlgoPicker picker(AlgoMode::kAuto, params);  // nodes = 1 default
+  AlgoPicker picker(params);  // nodes = 1 default
   EXPECT_DOUBLE_EQ(
       picker.predict_us(SparseAlgoKind::kTwoLevelRing, 1.0, 4096, 32, 8),
       picker.predict_us(SparseAlgoKind::kDenseRing, 1.0, 4096, 32, 8));
@@ -379,18 +317,6 @@ TEST(AlgoPickerTwoLevel, FlatLayoutFallsBackToDenseRingAndIsNeverChosen) {
     EXPECT_NE(picker.choose(d, 4096, 32, 8).algo,
               SparseAlgoKind::kTwoLevelRing);
   }
-}
-
-TEST(AlgoPickerTwoLevel, ForceModePicksTwoLevel) {
-  CostParams params = CostParams::from_simnet_defaults();
-  params.nodes = 4;
-  params.gpus_per_node = 2;
-  params.intra.alpha_us = 1.0;
-  params.intra.bytes_per_us = 50000.0;
-  AlgoPicker picker(AlgoMode::kForceTwoLevel, params);
-  const AlgoChoice choice = picker.choose(0.9, 4096, 32, 8);
-  EXPECT_EQ(choice.algo, SparseAlgoKind::kTwoLevelRing);
-  EXPECT_GT(choice.predicted_us, 0.0);
 }
 
 TEST(AlgoPickerTwoLevel, AutoPrefersTwoLevelWhenInterAlphaDominates) {
@@ -402,7 +328,7 @@ TEST(AlgoPickerTwoLevel, AutoPrefersTwoLevelWhenInterAlphaDominates) {
   params.gpus_per_node = 8;
   params.intra.alpha_us = 1.0;
   params.intra.bytes_per_us = params.link.bytes_per_us * 4.0;
-  AlgoPicker picker(AlgoMode::kAuto, params);
+  AlgoPicker picker(params);
   const int world = 64;
   const double two =
       picker.predict_us(SparseAlgoKind::kTwoLevelRing, 1.0, 4096, 32, world);
@@ -415,8 +341,8 @@ TEST(AlgoPickerTwoLevel, AutoPrefersTwoLevelWhenInterAlphaDominates) {
 
 TEST(AlgoPicker, ChoiceIsDeterministic) {
   const CostParams params = CostParams::from_simnet_defaults();
-  AlgoPicker a(AlgoMode::kAuto, params, 4096);
-  AlgoPicker b(AlgoMode::kAuto, params, 4096);
+  AlgoPicker a(params, 4096);
+  AlgoPicker b(params, 4096);
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
     const double d = static_cast<double>(rng.next_below(1001)) / 1000.0;
@@ -476,7 +402,7 @@ TEST(DensityEstimate, FromAllreducedClampsToOverlapFreeBounds) {
 }
 
 TEST(AlgoPicker, SingleDensityOverloadsDelegateThroughIndependent) {
-  AlgoPicker picker(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker picker(CostParams::from_simnet_defaults());
   for (const double d : {0.01, 0.3, 0.9}) {
     for (const int world : {2, 4, 8}) {
       const DensityEstimate est = DensityEstimate::independent(d, world);
@@ -495,21 +421,10 @@ TEST(AlgoPicker, SingleDensityOverloadsDelegateThroughIndependent) {
 // --- codec wire-cost model ---
 
 TEST(AlgoPicker, CodecCostScalesValueBytes) {
-  AlgoPicker picker(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker picker(CostParams::from_simnet_defaults());
   EXPECT_DOUBLE_EQ(picker.value_bytes(), 4.0);
   picker.set_codec_cost(1.6);  // topk at fraction 0.2
   EXPECT_DOUBLE_EQ(picker.value_bytes(), 1.6);
-  // A measured ratio overrides the analytic seed once any sample exists.
-  picker.observe_compression(0.5);
-  EXPECT_DOUBLE_EQ(picker.value_bytes(), 2.0);
-  picker.observe_compression(0.25);  // EWMA 0.8/0.2
-  EXPECT_DOUBLE_EQ(picker.value_bytes(), 4.0 * (0.8 * 0.5 + 0.2 * 0.25));
-  // Garbage samples are ignored.
-  const double before = picker.value_bytes();
-  picker.observe_compression(0.0);
-  picker.observe_compression(-1.0);
-  picker.observe_compression(std::nan(""));
-  EXPECT_DOUBLE_EQ(picker.value_bytes(), before);
 }
 
 TEST(AlgoPicker, CheaperValuesRaiseCrossoverWhenLatencyBound) {
@@ -519,8 +434,8 @@ TEST(AlgoPicker, CheaperValuesRaiseCrossoverWhenLatencyBound) {
   // (d(d*)/dv < 0 iff 16R/(N·ar) > αβ·D... here R = 8192 « αβN·ar/16) the
   // sparse format stays competitive to HIGHER densities under a codec:
   //   d* = (αβ·ag + 2vRD·ag/(N·ar)) / (R(8 + vD)) rises as v falls.
-  AlgoPicker raw(AlgoMode::kAuto, CostParams::from_simnet_defaults());
-  AlgoPicker coded(AlgoMode::kAuto, CostParams::from_simnet_defaults());
+  AlgoPicker raw(CostParams::from_simnet_defaults());
+  AlgoPicker coded(CostParams::from_simnet_defaults());
   coded.set_codec_cost(1.6);
   const double d_raw = raw.crossover_density(8192, 32, 4);
   const double d_coded = coded.crossover_density(8192, 32, 4);
@@ -558,7 +473,7 @@ TEST_P(PickVsMeasured, TwoMomentPickMatchesMeasuredArgmin) {
   params.allgather_eff = 1.0;
   params.allreduce_eff = 1.0;
   params.alltoall_eff = 1.0;  // prices recursive doubling's exchanges
-  AlgoPicker picker(AlgoMode::kAuto, params, /*chunk_bytes=*/0);
+  AlgoPicker picker(params, /*chunk_bytes=*/0);
 
   const DensityEstimate est{d, d};  // identical hot sets: union == per-rank
   const AlgoChoice fixed = picker.choose(est, rows, dim, world);

@@ -119,16 +119,12 @@ TEST(CodecScalar, Bf16KnownPatternsAndRounding) {
 // --- codec objects ---
 
 TEST(Codec, ParseAndNamesRoundTrip) {
+  // Spellings are parsed at the config boundary (core::parse_codec_kind);
+  // every comm kind must build a codec that reports itself.
   for (int k = 0; k < kNumCodecKinds; ++k) {
     const auto kind = static_cast<CodecKind>(k);
-    const auto parsed = parse_codec(codec_kind_name(kind));
-    ASSERT_TRUE(parsed.has_value()) << codec_kind_name(kind);
-    EXPECT_EQ(*parsed, kind);
-    EXPECT_EQ(make_codec(kind)->kind(), kind);
+    EXPECT_EQ(make_codec(kind)->kind(), kind) << codec_kind_name(kind);
   }
-  EXPECT_FALSE(parse_codec("gzip").has_value());
-  EXPECT_FALSE(parse_codec("").has_value());
-  EXPECT_FALSE(parse_codec("Identity").has_value());
 }
 
 TEST(Codec, IdentityIsLosslessBitwise) {

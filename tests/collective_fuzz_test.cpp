@@ -389,8 +389,8 @@ TEST_P(CollectiveFuzz, PickerDecisionIsIdenticalAcrossRanks) {
   const int ranks = static_cast<int>(rng.next_int(2, 6));
   const int64_t vocab = rng.next_int(64, 4096);
   const int64_t dim = rng.next_int(1, 64);
-  // "Measured" costs: arbitrary but identical on every rank, as after the
-  // trainer's rank-0 broadcast.
+  // Costs: arbitrary but identical on every rank, as the trainer derives
+  // them from the shared config.
   sparse::CostParams params = sparse::CostParams::from_simnet_defaults();
   params.link.alpha_us = rng.next_double(1.0, 500.0);
   params.link.bytes_per_us = rng.next_double(100.0, 20000.0);
@@ -399,7 +399,7 @@ TEST_P(CollectiveFuzz, PickerDecisionIsIdenticalAcrossRanks) {
   std::vector<float> local(static_cast<size_t>(ranks));
   for (auto& d : local) d = static_cast<float>(rng.next_double());
   run_cluster(ranks, [&](Communicator& comm) {
-    sparse::AlgoPicker picker(sparse::AlgoMode::kAuto, params);
+    sparse::AlgoPicker picker(params);
     std::vector<float> density{local[static_cast<size_t>(comm.rank())]};
     comm.allreduce(density);
     const sparse::AlgoChoice choice = picker.choose(

@@ -178,27 +178,6 @@ TEST(LinkProfiler, ZeroByteVarianceFlagsDegenerateNotGarbageSlope) {
   EXPECT_NEAR(prof.fit(2, 3).alpha_us, 40.0, 1e-9);
 }
 
-TEST(LinkProfiler, AggregateFitExcludesDegenerateLinks) {
-  LinkProfiler prof;
-  prof.set_enabled(true);
-  // Link 0->1: clean α = 50, bandwidth = 10 bytes/µs.
-  for (int64_t bytes : {1000, 2000, 4000, 8000}) {
-    prof.record(0, 1, bytes, 50.0 + static_cast<double>(bytes) / 10.0);
-  }
-  // Link 2->3: degenerate, huge mean cost at one size. If it leaked into the
-  // aggregate its "α" would swamp the real latency.
-  for (int i = 0; i < 4; ++i) prof.record(2, 3, 1 << 20, 100000.0);
-  const LinkFit agg = prof.aggregate_fit();
-  EXPECT_FALSE(agg.degenerate);
-  EXPECT_NEAR(agg.alpha_us, 50.0, 1e-6);
-  EXPECT_NEAR(agg.bytes_per_us, 10.0, 1e-6);
-  // Only degenerate links observed -> empty aggregate, not a garbage one.
-  LinkProfiler only_flat;
-  only_flat.set_enabled(true);
-  for (int i = 0; i < 8; ++i) only_flat.record(0, 1, 256, 10.0);
-  EXPECT_EQ(only_flat.aggregate_fit().samples, 0);
-}
-
 TEST(LinkProfiler, RecoversEmulatedFabricCostWithinTenPercent) {
   // Ground truth: the fabric occupies each cross-rank delivery for
   // α + bytes/β microseconds; the profiler observes delivery timestamps

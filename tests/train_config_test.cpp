@@ -1,7 +1,8 @@
 // TrainConfig::validate(): every constraint the trainer used to assert
 // ad-hoc is now a typed ConfigError, all problems are collected in one
 // pass, and the trainer entry points throw ConfigValidationError instead
-// of tripping the first EMBRACE_CHECK.
+// of tripping the first EMBRACE_CHECK. Also: cost_params, the one mapping
+// from the config's link knobs to the pickers' α–β constants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "embrace/embedding_sync.h"
 #include "embrace/strategy.h"
 
 namespace embrace::core {
@@ -89,24 +91,6 @@ TEST(TrainConfigValidate, FlagsEachBadField) {
     const auto errors = cfg.validate(4);
     EXPECT_TRUE(has_error(errors, c.field)) << "expected error on " << c.field;
   }
-}
-
-TEST(TrainConfigValidate, SparseAlgoSpellingsRoundTrip) {
-  // Strings live only at the config boundary: every enum value must
-  // round-trip through its canonical spelling, and every value validates.
-  for (const SparseAlgo algo :
-       {SparseAlgo::kAuto, SparseAlgo::kAllgather,
-        SparseAlgo::kRecursiveDoubling, SparseAlgo::kDense,
-        SparseAlgo::kTwoLevel}) {
-    const auto parsed = parse_sparse_algo(sparse_algo_name(algo));
-    ASSERT_TRUE(parsed.has_value()) << sparse_algo_name(algo);
-    EXPECT_EQ(*parsed, algo);
-    TrainConfig cfg = valid_config();
-    cfg.sparse_algo = algo;
-    EXPECT_TRUE(cfg.validate(4).empty()) << sparse_algo_name(algo);
-  }
-  EXPECT_FALSE(parse_sparse_algo("ring").has_value());
-  EXPECT_FALSE(parse_sparse_algo("").has_value());
 }
 
 TEST(TrainConfigValidate, TopologyMustTileTheWorld) {
@@ -234,6 +218,85 @@ TEST(TrainConfigValidate, TrainerEntryPointsThrowTypedError) {
   }
   EXPECT_THROW(run_oracle(cfg, 2), ConfigValidationError);
   EXPECT_THROW(run_distributed(valid_config(), 0), ConfigValidationError);
+}
+
+// --- cost_params: the link every AlgoPicker prices ---
+
+void expect_link_eq(const comm::LinkCost& a, const comm::LinkCost& b) {
+  EXPECT_DOUBLE_EQ(a.alpha_us, b.alpha_us);
+  EXPECT_DOUBLE_EQ(a.bytes_per_us, b.bytes_per_us);
+}
+
+TEST(CostParamsFromConfig, ZeroKnobsGiveSimnetDefaults) {
+  const sparse::CostParams want = sparse::CostParams::from_simnet_defaults();
+  const sparse::CostParams got = cost_params(valid_config());
+  expect_link_eq(got.link, want.link);
+  expect_link_eq(got.intra, want.intra);
+  EXPECT_EQ(got.nodes, 1);
+  EXPECT_EQ(got.gpus_per_node, 1);
+  EXPECT_DOUBLE_EQ(got.allgather_eff, want.allgather_eff);
+  EXPECT_DOUBLE_EQ(got.allreduce_eff, want.allreduce_eff);
+  EXPECT_DOUBLE_EQ(got.alltoall_eff, want.alltoall_eff);
+}
+
+TEST(CostParamsFromConfig, EachSetLinkKnobOverridesItsValue) {
+  const sparse::CostParams defaults =
+      sparse::CostParams::from_simnet_defaults();
+  TrainConfig cfg = valid_config();
+  cfg.link_alpha_us = 7.0;
+  sparse::CostParams p = cost_params(cfg);
+  EXPECT_DOUBLE_EQ(p.link.alpha_us, 7.0);
+  EXPECT_DOUBLE_EQ(p.link.bytes_per_us, defaults.link.bytes_per_us);
+
+  cfg = valid_config();
+  cfg.link_bytes_per_us = 125.0;
+  p = cost_params(cfg);
+  EXPECT_DOUBLE_EQ(p.link.alpha_us, defaults.link.alpha_us);
+  EXPECT_DOUBLE_EQ(p.link.bytes_per_us, 125.0);
+
+  // The intra-tier knobs only matter with a second tier (next test); the
+  // efficiencies never come from the config.
+  cfg = valid_config();
+  cfg.topo_nodes = 2;
+  cfg.topo_gpus_per_node = 2;
+  cfg.link_intra_alpha_us = 0.5;
+  p = cost_params(cfg);
+  EXPECT_DOUBLE_EQ(p.intra.alpha_us, 0.5);
+  EXPECT_DOUBLE_EQ(p.intra.bytes_per_us, defaults.intra.bytes_per_us);
+  cfg.link_intra_alpha_us = 0.0;
+  cfg.link_intra_bytes_per_us = 900.0;
+  p = cost_params(cfg);
+  EXPECT_DOUBLE_EQ(p.intra.alpha_us, defaults.intra.alpha_us);
+  EXPECT_DOUBLE_EQ(p.intra.bytes_per_us, 900.0);
+  EXPECT_DOUBLE_EQ(p.allgather_eff, defaults.allgather_eff);
+}
+
+TEST(CostParamsFromConfig, TwoByTwoTopologyFillsTheSecondTier) {
+  TrainConfig cfg = valid_config();
+  cfg.topo_nodes = 2;
+  cfg.topo_gpus_per_node = 2;
+  cfg.link_alpha_us = 50.0;
+  cfg.link_bytes_per_us = 1250.0;
+  cfg.link_intra_alpha_us = 5.0;
+  cfg.link_intra_bytes_per_us = 5000.0;
+  const sparse::CostParams p = cost_params(cfg);
+  EXPECT_EQ(p.nodes, 2);
+  EXPECT_EQ(p.gpus_per_node, 2);
+  expect_link_eq(p.link, {.alpha_us = 50.0, .bytes_per_us = 1250.0});
+  expect_link_eq(p.intra, {.alpha_us = 5.0, .bytes_per_us = 5000.0});
+}
+
+TEST(CostParamsFromConfig, SingleNodeTopologyStaysFlat) {
+  // 1 node x 4 GPUs has no second tier: two-level must stay out of the
+  // candidate set, exactly as CommGroup::two_level() is false there.
+  TrainConfig cfg = valid_config();
+  cfg.topo_nodes = 1;
+  cfg.topo_gpus_per_node = 4;
+  cfg.link_intra_alpha_us = 5.0;
+  const sparse::CostParams p = cost_params(cfg);
+  EXPECT_EQ(p.nodes, 1);
+  EXPECT_EQ(p.gpus_per_node, 1);
+  expect_link_eq(p.intra, sparse::CostParams::from_simnet_defaults().intra);
 }
 
 }  // namespace

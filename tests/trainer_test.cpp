@@ -10,8 +10,10 @@
 #include <utility>
 
 #include "common/error.h"
+#include "embrace/embedding_sync.h"
 #include "embrace/strategy.h"
 #include "obs/metrics.h"
+#include "sparse/algo_picker.h"
 
 namespace embrace::core {
 namespace {
@@ -396,6 +398,35 @@ TEST(Trainer, AllGatherCorrectUnderDeliveryJitter) {
   expect_losses_close(dist.losses, oracle.losses, 2e-3f);
 }
 
+TEST(Trainer, AllGatherPricesConfiguredLink) {
+  // Horovod-AllGather's picker prices the configured link, not simnet's
+  // 30 us / 100 Gbps defaults. On a slow (125 B/us), low-latency link a
+  // near-dense gradient belongs on the dense ring; the defaults would keep
+  // it on recursive doubling.
+  const auto picker = [](const TrainConfig& c) {
+    return sparse::AlgoPicker(cost_params(c), c.chunk_bytes);
+  };
+  TrainConfig cfg = base_config();
+  cfg.link_alpha_us = 1.0;
+  cfg.link_bytes_per_us = 125.0;
+  EXPECT_EQ(picker(cfg).choose(0.6, 400, 16, 4).algo,
+            comm::SparseAlgoKind::kDenseRing);
+  EXPECT_EQ(picker(base_config()).choose(0.6, 400, 16, 4).algo,
+            comm::SparseAlgoKind::kRecursiveDoubling);
+
+  // A vocabulary this small is nearly fully touched by every rank's batch.
+  constexpr int kWorkers = 4;
+  cfg.strategy = StrategyKind::kHorovodAllGather;
+  cfg.vocab = 16;
+  cfg.dim = 16;
+  cfg.batch_per_worker = 16;
+  cfg.steps = 4;
+  obs::Counter& dense = obs::counter("sparse.algo.picks{algo=dense}");
+  const int64_t dense0 = dense.value();
+  const auto dist = run_distributed(cfg, kWorkers);
+  EXPECT_EQ(dense.value() - dense0, kWorkers * cfg.steps * cfg.num_tables);
+  expect_losses_close(dist.losses, run_oracle(cfg, kWorkers).losses, 2e-3f);
+}
 
 TEST(Trainer, ReportsWallAndCommBusyTime) {
   TrainConfig cfg = base_config();
