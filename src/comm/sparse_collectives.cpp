@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <utility>
 
 #include "comm/chunked_collectives.h"
@@ -12,46 +14,57 @@
 namespace embrace::comm {
 namespace {
 
+constexpr size_t kWireHeaderBytes = 3 * sizeof(int64_t);
+
 // Packs `rows` into a wire buffer drawn from the communicator's pool: one
 // serialization copy, no allocation in steady state. An *empty* payload
-// (24-byte header, no rows) skips the pool entirely — pooling it would burn
-// a size-class slot and pool-stats churn on a round that moves no data.
-Bytes pack_wire(Communicator& comm, const SparseRows& rows) {
-  if (rows.empty()) {
-    Bytes buf(rows.packed_byte_size());
-    rows.pack_into(buf.data(), buf.size());
-    return buf;
-  }
-  Bytes buf = comm.pool().acquire(rows.packed_byte_size());
-  rows.pack_into(buf.data(), buf.size());
+// (header only) skips the pool entirely — pooling it would burn a
+// size-class slot and pool-stats churn on a round that moves no data.
+Bytes pack_wire(Communicator& comm, const SparseRows& rows,
+                const Codec* codec) {
+  const size_t size = sparse_wire_bytes(rows, codec);
+  Bytes buf = rows.empty() ? Bytes(size) : comm.pool().acquire(size);
+  sparse_pack_wire_into(rows, codec, buf);
   return buf;
 }
 
-constexpr size_t kWireHeaderBytes = 3 * sizeof(int64_t);
+[[noreturn]] void fail_sections(const char* what, size_t offset,
+                                size_t size) {
+  std::ostringstream os;
+  os << "malformed sectioned payload: " << what << " (offset " << offset
+     << " of " << size << " bytes)";
+  throw WireFormatError(os.str());
+}
 
-// Codec-encoded sparse wire: the standard packed layout with the values
-// section run through the codec —
-//   [num_total_rows:i64][dim:i64][nnz:i64][indices][encoded values]
-// encoded_bytes() is value-independent, so the receiver can size-check the
-// payload from the header alone. codec == nullptr falls back to the raw
-// pack above (byte-identical wire to the pre-codec code).
-Bytes pack_wire(Communicator& comm, const SparseRows& rows,
-                const Codec* codec) {
-  if (codec == nullptr) return pack_wire(comm, rows);
-  const int64_t nnz = rows.nnz_rows();
-  const int64_t elems = nnz * rows.dim();
+// Length of the sparse wire payload that starts `buf`, from its raw header.
+// The fields are untrusted: bounds are division-based, as in
+// SparseRows::parse_packed, so hostile nnz/dim values cannot wrap a size.
+size_t leading_wire_bytes(std::span<const std::byte> buf, const Codec* codec,
+                          size_t offset, size_t total) {
+  if (buf.size() < kWireHeaderBytes) {
+    fail_sections("truncated section header", offset, total);
+  }
+  int64_t header[3];
+  std::memcpy(header, buf.data(), sizeof(header));
+  const int64_t dim = header[1];
+  const int64_t nnz = header[2];
+  if (header[0] < 0 || dim < 0 || nnz < 0) {
+    fail_sections("negative section header field", offset, total);
+  }
+  const size_t body = buf.size() - kWireHeaderBytes;
+  if (static_cast<size_t>(nnz) > body / sizeof(int64_t) ||
+      (nnz > 0 && dim > std::numeric_limits<int64_t>::max() / 4 / nnz)) {
+    fail_sections("section exceeds payload", offset, total);
+  }
+  const int64_t elems = nnz * dim;
+  const size_t values = codec != nullptr
+                            ? static_cast<size_t>(codec->encoded_bytes(elems))
+                            : static_cast<size_t>(elems) * sizeof(float);
   const size_t idx_bytes = static_cast<size_t>(nnz) * sizeof(int64_t);
-  const size_t size = kWireHeaderBytes + idx_bytes +
-                      static_cast<size_t>(codec->encoded_bytes(elems));
-  Bytes buf = nnz == 0 ? Bytes(size) : comm.pool().acquire(size);
-  const int64_t header[3] = {rows.num_total_rows(), rows.dim(), nnz};
-  std::byte* p = buf.data();
-  std::memcpy(p, header, sizeof(header));
-  p += sizeof(header);
-  if (idx_bytes > 0) std::memcpy(p, rows.indices().data(), idx_bytes);
-  codec->encode_into(rows.values().flat(), p + idx_bytes);
-  codec_count_bytes(*codec, elems);
-  return buf;
+  if (values > body - idx_bytes) {
+    fail_sections("section exceeds payload", offset, total);
+  }
+  return kWireHeaderBytes + idx_bytes + values;
 }
 
 // Inverse of the encoded pack_wire.
@@ -180,6 +193,73 @@ SparseRows sparse_allreduce_dense_ring(Communicator& comm,
 Bytes sparse_pack_wire(Communicator& comm, const SparseRows& rows,
                        const Codec* codec) {
   return pack_wire(comm, rows, codec);
+}
+
+// The sparse wire: the standard packed layout (SparseRows::pack_into), or
+// with a codec the same layout with the values section run through it —
+//   [num_total_rows:i64][dim:i64][nnz:i64][indices][encoded values]
+// encoded_bytes() is value-independent, so the receiver can size-check the
+// payload from the header alone. codec == nullptr is byte-identical to the
+// pre-codec wire.
+size_t sparse_wire_bytes(const SparseRows& rows, const Codec* codec) {
+  if (codec == nullptr) return rows.packed_byte_size();
+  const int64_t nnz = rows.nnz_rows();
+  return kWireHeaderBytes + static_cast<size_t>(nnz) * sizeof(int64_t) +
+         static_cast<size_t>(codec->encoded_bytes(nnz * rows.dim()));
+}
+
+void sparse_pack_wire_into(const SparseRows& rows, const Codec* codec,
+                           std::span<std::byte> dst) {
+  if (codec == nullptr) {
+    rows.pack_into(dst.data(), dst.size());
+    return;
+  }
+  EMBRACE_CHECK_EQ(dst.size(), sparse_wire_bytes(rows, codec),
+                   << "sparse wire buffer size mismatch");
+  const int64_t nnz = rows.nnz_rows();
+  const size_t idx_bytes = static_cast<size_t>(nnz) * sizeof(int64_t);
+  const int64_t header[3] = {rows.num_total_rows(), rows.dim(), nnz};
+  std::byte* p = dst.data();
+  std::memcpy(p, header, sizeof(header));
+  p += sizeof(header);
+  if (idx_bytes > 0) std::memcpy(p, rows.indices().data(), idx_bytes);
+  codec->encode_into(rows.values().flat(), p + idx_bytes);
+  codec_count_bytes(*codec, nnz * rows.dim());
+}
+
+std::vector<std::span<const std::byte>> split_sections(
+    std::span<const std::byte> buf, std::span<const size_t> sizes) {
+  std::vector<std::span<const std::byte>> out;
+  out.reserve(sizes.size());
+  size_t offset = 0;
+  for (const size_t n : sizes) {
+    if (n > buf.size() - offset) {
+      fail_sections("section exceeds payload", offset, buf.size());
+    }
+    out.push_back(buf.subspan(offset, n));
+    offset += n;
+  }
+  if (offset != buf.size()) {
+    fail_sections("trailing bytes after last section", offset, buf.size());
+  }
+  return out;
+}
+
+std::vector<std::span<const std::byte>> split_sparse_wire(
+    std::span<const std::byte> buf, std::span<const Codec* const> codecs) {
+  std::vector<std::span<const std::byte>> out;
+  out.reserve(codecs.size());
+  size_t offset = 0;
+  for (const Codec* codec : codecs) {
+    const size_t n =
+        leading_wire_bytes(buf.subspan(offset), codec, offset, buf.size());
+    out.push_back(buf.subspan(offset, n));
+    offset += n;
+  }
+  if (offset != buf.size()) {
+    fail_sections("trailing bytes after last section", offset, buf.size());
+  }
+  return out;
 }
 
 SparseRows sparse_unpack_wire(std::span<const std::byte> buf,

@@ -9,6 +9,7 @@
 //    sends payload[i] to rank i and receives one payload from every peer.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "comm/codec.h"
@@ -35,6 +36,25 @@ Bytes sparse_pack_wire(Communicator& comm, const SparseRows& rows,
                        const Codec* codec = nullptr);
 SparseRows sparse_unpack_wire(std::span<const std::byte> buf,
                               const Codec* codec = nullptr);
+// The same format into caller-owned memory: `dst` must be exactly
+// sparse_wire_bytes(rows, codec) long. Lets one message carry several
+// payloads back to back (split_sparse_wire is the inverse).
+size_t sparse_wire_bytes(const SparseRows& rows, const Codec* codec = nullptr);
+void sparse_pack_wire_into(const SparseRows& rows, const Codec* codec,
+                           std::span<std::byte> dst);
+
+// Concatenated sections: one AlltoAll payload that carries several tables'
+// sections back to back with no framing, because the receiver can size
+// every section on its own. split_sections cuts `buf` into sections of the
+// known `sizes`; split_sparse_wire cuts it into one sparse wire payload per
+// entry of `codecs` (section i encoded with codecs[i]), each sized from its
+// raw header plus Codec::encoded_bytes. Both throw WireFormatError when
+// `buf` is shorter or longer than its sections. The returned spans alias
+// `buf`.
+std::vector<std::span<const std::byte>> split_sections(
+    std::span<const std::byte> buf, std::span<const size_t> sizes);
+std::vector<std::span<const std::byte>> split_sparse_wire(
+    std::span<const std::byte> buf, std::span<const Codec* const> codecs);
 
 // Gathers every rank's sparse rows and returns their (uncoalesced)
 // concatenation in rank order. Logically equals the elementwise sum of all

@@ -31,6 +31,11 @@ comm::CodecKind to_comm_codec(CodecKind c) {
   return comm::CodecKind::kIdentity;
 }
 
+// "<kind>/s<step>": the step-scoped op-name prefix perf tools parse.
+std::string op_name(const char* kind, int step) {
+  return std::string(kind) + "/s" + std::to_string(step);
+}
+
 // Table t's initial parameters come from the deterministic substream
 // split(t) of the seed's stream — identical across ranks, strategies and
 // the oracle.
@@ -38,35 +43,52 @@ Rng table_rng(const TrainConfig& cfg, int t) {
   return Rng(cfg.seed).split(static_cast<uint64_t>(t));
 }
 
-// Column shards exchanged by AlltoAll (paper §4.1): the D_cur id gather and
-// the "embdata" lookup ops, the per-shard sparse optimizers, and the
-// hot-row caches with their per-step "hotsync" op.
+// Column shards exchanged by AlltoAll (paper §4.1): the id gathers and the
+// "embdata" lookup op, the per-shard sparse optimizers, and the hot-row
+// caches with their per-step "hotsync" op. Each op carries every table —
+// one AlltoAllv per op kind and step, Horovod-style fusion applied to the
+// sparse ops — and each step runs ONE id allgather for all tables.
 class HybridSync : public EmbeddingSync {
  public:
   std::vector<sched::Handle> lookup(int step, const Segmented& seg,
-                                    const Segmented& /*seg_next*/,
+                                    const Segmented& seg_next,
                                     Tensor& emb_out) override {
-    for (int t = 0; t < tables(); ++t) {
-      all_cur_[t] =
-          PartitionedEmbedding::allgather_ids(ctx_.main_ch, seg.ids[t]);
+    // D_cur is the previous step's D_next gather; only step 0 gathers its
+    // own batch.
+    all_cur_ = step == 0 ? gather_ids(seg) : std::move(all_next_);
+    // The lookup AlltoAll runs as one scheduled comm op ("Emb Data"),
+    // ordered after the previous step's prior/delayed ops — the dependency
+    // the paper's Figure 6(c) encodes.
+    int64_t bytes = 0;
+    for (const auto& ids : seg.ids) {
+      bytes += static_cast<int64_t>(ids.size()) * ctx_.cfg.dim *
+               static_cast<int64_t>(sizeof(float));
     }
-    // Each table's lookup AlltoAll runs as its own scheduled comm op
-    // ("Emb Data"), ordered after the previous step's prior/delayed ops —
-    // the dependency the paper's Figure 6(c) encodes.
-    std::vector<sched::Handle> handles;
-    for (int t = 0; t < tables(); ++t) {
-      const auto bytes = static_cast<int64_t>(seg.ids[t].size()) *
-                         ctx_.cfg.dim * static_cast<int64_t>(sizeof(float));
-      handles.push_back(ctx_.submit(
-          "embdata", step, t, Priorities::embdata(step, t), bytes,
-          sched::OpKind::kEmbData, [this, t, &seg, &emb_out] {
-            const EmbedExchange ex{.group = ctx_.grp,
-                                   .cache = caches_[t].get()};
-            Tensor rows = shards_[t]->distributed_lookup(
-                ctx_.comm_ch, all_cur_[t], seg.ids[t], ex);
-            scatter_rows(rows, seg.pos[t], emb_out);
-          }));
-    }
+    std::vector<sched::Handle> handles{ctx_.submit(
+        "embdata", step, Priorities::embdata(step), bytes,
+        sched::OpKind::kEmbData, [this, &seg, &emb_out] {
+          std::vector<TableLookup> sections;
+          sections.reserve(static_cast<size_t>(tables()));
+          for (int t = 0; t < tables(); ++t) {
+            sections.push_back({.table = *shards_[t],
+                                .all_ids = all_cur_[t],
+                                .my_ids = seg.ids[t],
+                                .cache = caches_[t].get()});
+          }
+          const std::vector<Tensor> rows =
+              PartitionedEmbedding::distributed_lookup(ctx_.comm_ch, sections,
+                                                       ctx_.grp);
+          for (int t = 0; t < tables(); ++t) {
+            scatter_rows(rows[t], seg.pos[t], emb_out);
+          }
+        })};
+    // Algorithm 1's D_next, which is also the next step's D_cur: gathered
+    // on this thread while the comm thread runs the lookup. The last step
+    // feeds no next step, so it gathers nothing; an empty D_next sends its
+    // whole gradient down the delayed path.
+    all_next_ = step + 1 < ctx_.cfg.steps
+                    ? gather_ids(seg_next)
+                    : decltype(all_next_)(static_cast<size_t>(tables()));
     return handles;
   }
 
@@ -93,8 +115,7 @@ class HybridSync : public EmbeddingSync {
   }
 
  protected:
-  explicit HybridSync(SyncContext& ctx)
-      : ctx_(ctx), all_cur_(static_cast<size_t>(ctx.cfg.num_tables)) {
+  explicit HybridSync(SyncContext& ctx) : ctx_(ctx) {
     ctx_.enable_codec();
     const TrainConfig& cfg = ctx_.cfg;
     for (int t = 0; t < tables(); ++t) {
@@ -134,23 +155,56 @@ class HybridSync : public EmbeddingSync {
 
   int tables() const { return ctx_.cfg.num_tables; }
 
-  // The op body for one gradient part of table t: the AlltoAll exchange to
-  // the owning shards, then the shard's optimizer step.
-  std::function<void()> exchange(int t, SparseRows part,
-                                 const comm::Codec* codec,
+  // Every worker's ids of every table of `batch`, in one allgatherv on the
+  // main channel.
+  std::vector<std::vector<std::vector<int64_t>>> gather_ids(
+      const Segmented& batch) {
+    return PartitionedEmbedding::allgather_ids(ctx_.main_ch, batch.ids,
+                                               ctx_.cfg.vocab);
+  }
+
+  // Picks every table's codec (one allreduce in adaptive mode, on main_ch
+  // like the id gather) and folds each error-feedback residual into its
+  // gradient, on this thread.
+  std::vector<const comm::Codec*> prepare_codecs(
+      std::vector<SparseRows>& grads) {
+    std::vector<const comm::Codec*> codecs =
+        ctx_.choose_codecs(ctx_.main_ch, 0, grads);
+    for (int t = 0; t < tables(); ++t) {
+      ctx_.apply_sparse_ef(t, grads[t], codecs[t]);
+    }
+    return codecs;
+  }
+
+  // The op body for one gradient part per table: one AlltoAll to the
+  // owning shards, then each shard's optimizer step.
+  std::function<void()> exchange(std::vector<SparseRows> parts,
+                                 std::vector<const comm::Codec*> codecs,
                                  nn::SparseStep step) {
-    return [this, t, codec, step, part = std::move(part)] {
-      const EmbedExchange ex{.group = ctx_.grp, .codec = codec,
-                             .cache = caches_[t].get()};
-      SparseRows g = shards_[t]->exchange_grad(ctx_.comm_ch, part, ex);
-      opts_[t]->apply(shards_[t]->shard(), g, step);
+    return [this, step, parts = std::move(parts),
+            codecs = std::move(codecs)] {
+      std::vector<TableGrad> sections;
+      sections.reserve(parts.size());
+      for (int t = 0; t < tables(); ++t) {
+        sections.push_back({.table = *shards_[t],
+                            .part = parts[t],
+                            .codec = codecs[t],
+                            .cache = caches_[t].get()});
+      }
+      const std::vector<SparseRows> g = PartitionedEmbedding::exchange_grad(
+          ctx_.comm_ch, sections, ctx_.grp);
+      for (int t = 0; t < tables(); ++t) {
+        opts_[t]->apply(shards_[t]->shard(), g[t], step);
+      }
     };
   }
 
   SyncContext& ctx_;
-  // Every worker's ids of the current batch per table (Algorithm 1's
-  // D_cur); all_cur_[t][rank] is this rank's own.
+  // Every worker's ids of the current and of the next batch, per table and
+  // worker (Algorithm 1's D_cur and D_next); all_cur_[t][rank] is this
+  // rank's own.
   std::vector<std::vector<std::vector<int64_t>>> all_cur_;
+  std::vector<std::vector<std::vector<int64_t>>> all_next_;
 
  private:
   std::vector<std::unique_ptr<PartitionedEmbedding>> shards_;
@@ -167,21 +221,22 @@ class NoVssSync final : public HybridSync {
   explicit NoVssSync(SyncContext& ctx) : HybridSync(ctx) {}
   bool prioritized() const override { return false; }
 
-  void exchange_grad(int step, int t, SparseRows grad,
+  void exchange_grad(int step, std::vector<SparseRows> grads,
                      std::vector<sched::Handle>& handles) override {
     // The op's byte estimate is the gradient before error feedback.
-    const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
-    // Codec choice + error feedback happen here on the main thread
-    // (adaptive mode allreduces the |grad| mass on main_ch, like the id
-    // exchange in lookup); the wire work runs on the comm thread. No VSS ->
-    // no coalescing pass: the uncoalesced gradient goes on the wire; the
-    // shard coalesces before applying.
-    const comm::Codec* codec = ctx_.choose_table_codec(ctx_.main_ch, t, grad);
-    ctx_.apply_sparse_ef(t, grad, codec);
+    int64_t bytes = 0;
+    for (const SparseRows& g : grads) {
+      bytes += static_cast<int64_t>(g.packed_byte_size());
+    }
+    // Codec choice + error feedback happen here on the main thread; the
+    // wire work runs on the comm thread. No VSS -> no coalescing pass: the
+    // uncoalesced gradient goes on the wire; the shard coalesces before
+    // applying.
+    std::vector<const comm::Codec*> codecs = prepare_codecs(grads);
     handles.push_back(ctx_.submit(
-        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        "embgrad", step, Priorities::prior(step), bytes,
         sched::OpKind::kOther,
-        exchange(t, std::move(grad), codec, nn::SparseStep::kFull)));
+        exchange(std::move(grads), std::move(codecs), nn::SparseStep::kFull)));
   }
 };
 
@@ -190,22 +245,10 @@ class NoVssSync final : public HybridSync {
 // a delayed part that fills the queue's tail.
 class EmbRaceSync final : public HybridSync {
  public:
-  explicit EmbRaceSync(SyncContext& ctx)
-      : HybridSync(ctx), all_next_(static_cast<size_t>(ctx.cfg.num_tables)) {}
+  explicit EmbRaceSync(SyncContext& ctx) : HybridSync(ctx) {}
   bool prioritized() const override { return true; }
 
-  std::vector<sched::Handle> lookup(int step, const Segmented& seg,
-                                    const Segmented& seg_next,
-                                    Tensor& emb_out) override {
-    // Algorithm 1's D_next: every worker's ids of the next batch.
-    for (int t = 0; t < tables(); ++t) {
-      all_next_[t] =
-          PartitionedEmbedding::allgather_ids(ctx_.main_ch, seg_next.ids[t]);
-    }
-    return HybridSync::lookup(step, seg, seg_next, emb_out);
-  }
-
-  void exchange_grad(int step, int t, SparseRows grad,
+  void exchange_grad(int step, std::vector<SparseRows> grads,
                      std::vector<sched::Handle>& handles) override {
     // Error feedback is applied to the WHOLE gradient before Algorithm 1's
     // vertical split: the residual row-aligns with the coalesced gradient,
@@ -213,37 +256,53 @@ class EmbRaceSync final : public HybridSync {
     // values (re-encoding a projected payload on the wire is idempotent,
     // so the split adds no extra error and the modified-Adam prior/delayed
     // sequencing is untouched).
-    const comm::Codec* codec = ctx_.choose_table_codec(ctx_.main_ch, t, grad);
-    ctx_.apply_sparse_ef(t, grad, codec);
+    std::vector<const comm::Codec*> codecs = prepare_codecs(grads);
     // Algorithm 1 on the GPU-idle window after BP, per table.
-    auto split = sched::vertical_sparse_schedule(
-        grad, all_cur_[t][static_cast<size_t>(ctx_.rank)],
-        flatten(all_next_[t]));
-    const auto prior_bytes =
-        static_cast<int64_t>(split.prior.packed_byte_size());
-    const auto delayed_bytes =
-        static_cast<int64_t>(split.delayed.packed_byte_size());
+    std::vector<SparseRows> prior, delayed;
+    int64_t prior_bytes = 0, delayed_bytes = 0;
+    for (int t = 0; t < tables(); ++t) {
+      auto split = sched::vertical_sparse_schedule(
+          grads[t], all_cur_[t][static_cast<size_t>(ctx_.rank)],
+          flatten(all_next_[t]));
+      prior_bytes += static_cast<int64_t>(split.prior.packed_byte_size());
+      delayed_bytes += static_cast<int64_t>(split.delayed.packed_byte_size());
+      prior.push_back(std::move(split.prior));
+      delayed.push_back(std::move(split.delayed));
+    }
     handles.push_back(ctx_.submit(
-        "prior", step, t, Priorities::prior(step, t), prior_bytes,
+        "prior", step, Priorities::prior(step), prior_bytes,
         sched::OpKind::kSparsePrior,
-        exchange(t, std::move(split.prior), codec, nn::SparseStep::kPrior)));
+        exchange(std::move(prior), codecs, nn::SparseStep::kPrior)));
     // The delayed part fills the queue's tail; its step-scoped priority
     // keeps it ahead of the next step's ops (the modified Adam requires
     // delayed(s) to land before prior(s+1)), so its handle is not waited on.
-    ctx_.submit("delayed", step, t, Priorities::delayed(step, t),
-                delayed_bytes, sched::OpKind::kSparseDelayed,
-                exchange(t, std::move(split.delayed), codec,
+    ctx_.submit("delayed", step, Priorities::delayed(step), delayed_bytes,
+                sched::OpKind::kSparseDelayed,
+                exchange(std::move(delayed), std::move(codecs),
                          nn::SparseStep::kDelayed));
   }
+};
 
- private:
-  std::vector<std::vector<std::vector<int64_t>>> all_next_;
+// The Horovod and PS strategies exchange each table's gradient as its own
+// op, "embgrad/s<step>/t<t>".
+class PerTableSync : public EmbeddingSync {
+ public:
+  void exchange_grad(int step, std::vector<SparseRows> grads,
+                     std::vector<sched::Handle>& handles) final {
+    for (size_t t = 0; t < grads.size(); ++t) {
+      exchange_table(step, static_cast<int>(t), std::move(grads[t]), handles);
+    }
+  }
+
+ protected:
+  virtual void exchange_table(int step, int t, SparseRows grad,
+                              std::vector<sched::Handle>& handles) = 0;
 };
 
 // Full replicas on every rank: the lookup is a local forward, and the
 // gradient is aggregated on the comm thread, which also applies the
 // codec and error feedback inside the op body.
-class ReplicatedSync : public EmbeddingSync {
+class ReplicatedSync : public PerTableSync {
  public:
   bool prioritized() const override { return false; }
 
@@ -279,8 +338,8 @@ class HorovodAllReduceSync final : public ReplicatedSync {
  public:
   explicit HorovodAllReduceSync(SyncContext& ctx) : ReplicatedSync(ctx) {}
 
-  void exchange_grad(int step, int t, SparseRows grad,
-                     std::vector<sched::Handle>& handles) override {
+  void exchange_table(int step, int t, SparseRows grad,
+                      std::vector<sched::Handle>& handles) override {
     const int64_t bytes = grad.dense_byte_size();
     handles.push_back(ctx_.submit(
         "embgrad", step, t, Priorities::prior(step, t), bytes,
@@ -290,7 +349,7 @@ class HorovodAllReduceSync final : public ReplicatedSync {
           // wire codec on the ring when one is configured (error feedback
           // first, on the sparse form).
           const comm::Codec* codec =
-              ctx_.choose_table_codec(ctx_.comm_ch, t, grad);
+              ctx_.choose_codecs(ctx_.comm_ch, t, std::span(&grad, 1))[0];
           SparseRows g = grad;
           ctx_.apply_sparse_ef(t, g, codec);
           Tensor dense = g.to_dense();
@@ -316,8 +375,8 @@ class HorovodAllGatherSync final : public ReplicatedSync {
       : ReplicatedSync(ctx), algo_picker_(cost_params(ctx.cfg),
                                           ctx.cfg.chunk_bytes) {}
 
-  void exchange_grad(int step, int t, SparseRows grad,
-                     std::vector<sched::Handle>& handles) override {
+  void exchange_table(int step, int t, SparseRows grad,
+                      std::vector<sched::Handle>& handles) override {
     const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
     handles.push_back(ctx_.submit(
         "embgrad", step, t, Priorities::prior(step, t), bytes,
@@ -376,7 +435,7 @@ class HorovodAllGatherSync final : public ReplicatedSync {
 // Embedding tables on shared parameter servers (make_param_servers): the
 // lookup pulls rows, the gradient is pushed on the comm thread, and the
 // server applies SGD. The codec knob does not apply.
-class PsSync : public EmbeddingSync {
+class PsSync : public PerTableSync {
  public:
   std::vector<sched::Handle> lookup(int /*step*/, const Segmented& seg,
                                     const Segmented& /*seg_next*/,
@@ -399,8 +458,8 @@ class ParallaxSync final : public PsSync {
   explicit ParallaxSync(SyncContext& ctx) : PsSync(ctx) {}
   bool prioritized() const override { return false; }
 
-  void exchange_grad(int step, int t, SparseRows grad,
-                     std::vector<sched::Handle>& handles) override {
+  void exchange_table(int step, int t, SparseRows grad,
+                      std::vector<sched::Handle>& handles) override {
     const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
     handles.push_back(ctx_.submit(
         "embgrad", step, t, Priorities::prior(step, t), bytes,
@@ -415,8 +474,8 @@ class BytePsSync final : public PsSync {
   explicit BytePsSync(SyncContext& ctx) : PsSync(ctx) {}
   bool prioritized() const override { return true; }
 
-  void exchange_grad(int step, int t, SparseRows grad,
-                     std::vector<sched::Handle>& handles) override {
+  void exchange_table(int step, int t, SparseRows grad,
+                      std::vector<sched::Handle>& handles) override {
     // The embedding is what the next FP needs first, so its push jumps the
     // dense-block queue.
     const int64_t bytes = grad.dense_byte_size();
@@ -498,22 +557,39 @@ void SyncContext::enable_codec() {
   }
 }
 
-const comm::Codec* SyncContext::choose_table_codec(comm::Communicator& ch,
-                                                   int t,
-                                                   const SparseRows& g) const {
-  if (!codec_policy.has_value()) return nullptr;
-  double mean_abs = 0.0;
+std::vector<const comm::Codec*> SyncContext::choose_codecs(
+    comm::Communicator& ch, int first_table,
+    std::span<const SparseRows> grads) const {
+  std::vector<const comm::Codec*> codecs(grads.size(), nullptr);
+  if (!codec_policy.has_value()) return codecs;
+  // {sum |g|, count} per table, rank-agreed in one allreduce.
+  std::vector<float> mass(2 * grads.size(), 0.0f);
   if (codec_policy->config().adaptive) {
-    float sum_abs = 0.0f;
-    for (float v : g.values().flat()) sum_abs += std::fabs(v);
-    std::vector<float> m{sum_abs,
-                         static_cast<float>(g.values().flat().size())};
-    ch.allreduce(m);
-    mean_abs = m[1] > 0.0f
-                   ? static_cast<double>(m[0]) / static_cast<double>(m[1])
-                   : 0.0;
+    for (size_t i = 0; i < grads.size(); ++i) {
+      for (float v : grads[i].values().flat()) mass[2 * i] += std::fabs(v);
+      mass[2 * i + 1] = static_cast<float>(grads[i].values().flat().size());
+    }
+    ch.allreduce(mass);
   }
-  return codec_policy->choose(t, mean_abs);
+  for (size_t i = 0; i < grads.size(); ++i) {
+    const double mean_abs =
+        mass[2 * i + 1] > 0.0f ? static_cast<double>(mass[2 * i]) /
+                                     static_cast<double>(mass[2 * i + 1])
+                               : 0.0;
+    codecs[i] =
+        codec_policy->choose(first_table + static_cast<int>(i), mean_abs);
+  }
+  return codecs;
+}
+
+sched::Handle SyncContext::submit(const char* kind, int step, double priority,
+                                  int64_t bytes, sched::OpKind op_kind,
+                                  std::function<void()> body) {
+  return scheduler.submit({.name = op_name(kind, step),
+                           .priority = prio(priority),
+                           .bytes = bytes,
+                           .kind = op_kind},
+                          std::move(body));
 }
 
 sched::Handle SyncContext::submit(const char* kind, int step, int t,
@@ -521,8 +597,7 @@ sched::Handle SyncContext::submit(const char* kind, int step, int t,
                                   sched::OpKind op_kind,
                                   std::function<void()> body) {
   return scheduler.submit(
-      {.name = std::string(kind) + "/s" + std::to_string(step) + "/t" +
-               std::to_string(t),
+      {.name = op_name(kind, step) + "/t" + std::to_string(t),
        .priority = prio(priority),
        .bytes = bytes,
        .kind = op_kind},

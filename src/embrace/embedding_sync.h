@@ -31,21 +31,19 @@ namespace embrace::core {
 // Step-scoped priorities: ops of step s always precede ops of step s+1 in
 // the priority order (required for the modified Adam's prior/delayed
 // sequencing); within a step the 2D order is prior < embdata < dense
-// (FP-order) < delayed.
+// (FP-order) < delayed. The hybrid strategies run one op per kind per step
+// with every table inside it; `table` orders the per-table ops of the
+// Horovod and PS strategies.
 struct Priorities {
   static double base(int step) { return 1e6 * step; }
-  static double prior(int step, int table) {
+  static double prior(int step, int table = 0) {
     return base(step) + 0.01 * table;
   }
-  static double embdata(int step, int table) {
-    return base(step) + 1 + 0.01 * table;
-  }
+  static double embdata(int step) { return base(step) + 1; }
   static double dense(int step, size_t fp_index) {
     return base(step) + 10 + static_cast<double>(fp_index);
   }
-  static double delayed(int step, int table) {
-    return base(step) + 1e5 + table;
-  }
+  static double delayed(int step) { return base(step) + 1e5; }
   // Hot-row cache sync/refresh: strictly after every gradient op of step s
   // (the pending buffer must hold the full step's hot gradients) and before
   // every op of step s+1 (the next lookups read the synced replica).
@@ -107,17 +105,24 @@ struct SyncContext {
   double prio(double v) {
     return prioritized ? v : static_cast<double>(fifo_seq++);
   }
-  // Submits table t's op "<kind>/s<step>/t<t>" at priority prio(priority).
+  // Submits the op "<kind>/s<step>" (one op carrying every table), or
+  // table t's op "<kind>/s<step>/t<t>", at priority prio(priority).
+  sched::Handle submit(const char* kind, int step, double priority,
+                       int64_t bytes, sched::OpKind op_kind,
+                       std::function<void()> body);
   sched::Handle submit(const char* kind, int step, int t, double priority,
                        int64_t bytes, sched::OpKind op_kind,
                        std::function<void()> body);
   void enable_codec();
-  // The per-op codec for one table's sparse gradient. Adaptive mode needs
-  // the table's rank-agreed mean |grad|, so it costs one tiny allreduce on
-  // `ch` (the channel the caller is allowed to block on: main_ch from the
-  // issue scope, comm_ch from an op body); fixed modes are pure local.
-  const comm::Codec* choose_table_codec(comm::Communicator& ch, int t,
-                                        const SparseRows& g) const;
+  // The per-op codec of each sparse gradient in `grads`, which are tables
+  // first_table, first_table + 1, .... Adaptive mode needs each table's
+  // rank-agreed mean |grad|, so it costs ONE tiny allreduce of every
+  // table's {sum |g|, count} on `ch` (the channel the caller is allowed to
+  // block on: main_ch from the issue scope, comm_ch from an op body);
+  // fixed modes are pure local.
+  std::vector<const comm::Codec*> choose_codecs(
+      comm::Communicator& ch, int first_table,
+      std::span<const SparseRows> grads) const;
   // Folds table t's error-feedback residual into `g` ahead of a lossy
   // encode, coalescing first so the residual stays row-aligned. A no-op
   // without a lossy codec.
@@ -135,9 +140,10 @@ class EmbeddingSync {
   virtual std::vector<sched::Handle> lookup(int step, const Segmented& seg,
                                             const Segmented& seg_next,
                                             Tensor& emb_out) = 0;
-  // Submits table t's gradient exchange (`grad`: this rank's rows, already
-  // scaled by 1/workers) and appends any handle to wait on.
-  virtual void exchange_grad(int step, int t, SparseRows grad,
+  // Submits the gradient exchange of every table (`grads[t]`: this rank's
+  // rows of table t, already scaled by 1/workers) and appends any handle
+  // to wait on.
+  virtual void exchange_grad(int step, std::vector<SparseRows> grads,
                              std::vector<sched::Handle>& handles) = 0;
   // Submits the step's trailing ops, after every gradient exchange.
   virtual void step_end(int /*step*/) {}

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "comm/hierarchical_collectives.h"
 #include "comm/sparse_collectives.h"
@@ -39,34 +41,19 @@ obs::Counter& grad_bytes_counter() {
   return c;
 }
 
-// Empty id slices / tensors are normal (a rank may own no rows of a batch);
-// empty vectors may hand memcpy a null pointer, which is UB even at size 0.
-
-comm::Bytes pack_ids(comm::Communicator& comm,
-                     const std::vector<int64_t>& ids) {
-  comm::Bytes b = comm.pool().acquire(ids.size() * sizeof(int64_t));
-  if (!b.empty()) std::memcpy(b.data(), ids.data(), b.size());
-  return b;
-}
-
-std::vector<int64_t> unpack_ids(const comm::Bytes& b) {
-  EMBRACE_CHECK_EQ(b.size() % sizeof(int64_t), 0u);
-  std::vector<int64_t> ids(b.size() / sizeof(int64_t));
-  if (!b.empty()) std::memcpy(ids.data(), b.data(), b.size());
+// Reads `n` int64s from a wire buffer. Empty id slices are normal (a rank
+// may own no rows of a batch); empty vectors may hand memcpy a null
+// pointer, which is UB even at size 0.
+std::vector<int64_t> read_ids(const std::byte* p, size_t n) {
+  std::vector<int64_t> ids(n);
+  if (n > 0) std::memcpy(ids.data(), p, n * sizeof(int64_t));
   return ids;
 }
 
-comm::Bytes pack_tensor(comm::Communicator& comm, const Tensor& t) {
-  comm::Bytes b = comm.pool().acquire(static_cast<size_t>(t.byte_size()));
-  if (!b.empty()) std::memcpy(b.data(), t.data(), b.size());
-  return b;
-}
-
-Tensor unpack_tensor(const comm::Bytes& b, int64_t rows, int64_t cols) {
-  EMBRACE_CHECK_EQ(b.size(), static_cast<size_t>(rows * cols * 4));
-  std::vector<float> data(static_cast<size_t>(rows * cols));
-  if (!b.empty()) std::memcpy(data.data(), b.data(), b.size());
-  return Tensor({rows, cols}, std::move(data));
+[[noreturn]] void fail_ids(const char* what, int worker, size_t size) {
+  throw WireFormatError(std::string("malformed id gather payload from rank ") +
+                        std::to_string(worker) + ": " + what + " (" +
+                        std::to_string(size) + " bytes)");
 }
 
 }  // namespace
@@ -95,19 +82,62 @@ std::pair<int64_t, int64_t> PartitionedEmbedding::col_range(int r) const {
   return {dim_ * r / world_, dim_ * (r + 1) / world_};
 }
 
-std::vector<std::vector<int64_t>> PartitionedEmbedding::allgather_ids(
-    comm::Communicator& comm, const std::vector<int64_t>& my_ids) {
+std::vector<std::vector<std::vector<int64_t>>>
+PartitionedEmbedding::allgather_ids(
+    comm::Communicator& comm, std::span<const std::vector<int64_t>> my_ids,
+    int64_t vocab) {
+  const auto tables = static_cast<int64_t>(my_ids.size());
+  EMBRACE_CHECK_GE(tables, 1);
+  EMBRACE_CHECK(vocab > 0 &&
+                tables <= std::numeric_limits<int64_t>::max() / vocab);
+  size_t words = 0;
+  for (const auto& ids : my_ids) words += ids.size();
+  comm::Bytes mine = comm.pool().acquire(words * sizeof(int64_t));
+  // Table t's ids travel as id + t·vocab, back to back in table order.
+  std::byte* p = mine.data();
+  for (int64_t t = 0; t < tables; ++t) {
+    for (const int64_t id : my_ids[static_cast<size_t>(t)]) {
+      EMBRACE_CHECK(tables == 1 || (id >= 0 && id < vocab),
+                    << "id " << id << " outside the vocab of " << vocab);
+      const int64_t tagged = id + t * vocab;
+      std::memcpy(p, &tagged, sizeof(tagged));
+      p += sizeof(tagged);
+    }
+  }
   // Zero-copy fan-out: peers read this rank's id payload in place.
-  auto buffers = comm.allgatherv_shared(pack_ids(comm, my_ids));
-  std::vector<std::vector<int64_t>> out;
-  out.reserve(buffers.size());
-  for (auto& b : buffers) {
-    out.push_back(unpack_ids(*b));
+  auto buffers = comm.allgatherv_shared(std::move(mine));
+  std::vector<std::vector<std::vector<int64_t>>> out(
+      static_cast<size_t>(tables),
+      std::vector<std::vector<int64_t>>(buffers.size()));
+  for (size_t w = 0; w < buffers.size(); ++w) {
+    const comm::Bytes& b = *buffers[w];
+    if (b.size() % sizeof(int64_t) != 0) {
+      fail_ids("not a whole number of ids", static_cast<int>(w), b.size());
+    }
+    std::vector<int64_t> ids = read_ids(b.data(), b.size() / sizeof(int64_t));
     // Shared payloads are read-only; the shared_ptr's final release frees
     // them (recycling via use_count() would race with the originator).
-    b.reset();
+    buffers[w].reset();
+    if (tables == 1) {
+      out[0][w] = std::move(ids);
+      continue;
+    }
+    int64_t t = 0;
+    for (const int64_t v : ids) {
+      if (v < t * vocab || v >= tables * vocab) {
+        fail_ids("ids out of table order", static_cast<int>(w), b.size());
+      }
+      t = v / vocab;
+      out[static_cast<size_t>(t)][w].push_back(v - t * vocab);
+    }
   }
   return out;
+}
+
+std::vector<std::vector<int64_t>> PartitionedEmbedding::allgather_ids(
+    comm::Communicator& comm, const std::vector<int64_t>& my_ids) {
+  return std::move(allgather_ids(comm, std::span(&my_ids, 1),
+                                 std::numeric_limits<int64_t>::max())[0]);
 }
 
 Tensor PartitionedEmbedding::shard_lookup(
@@ -122,134 +152,237 @@ Tensor PartitionedEmbedding::shard_lookup(
   return out;
 }
 
+std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
+    comm::Communicator& comm, std::span<const TableLookup> tables,
+    comm::CommGroup* group) {
+  const int world = comm.size();
+  const int rank = comm.rank();
+  // Per table: the ids each worker's section carries, and the positions of
+  // my batch that the wire serves (all of them when uncached).
+  struct Section {
+    const std::vector<std::vector<int64_t>>* ids = nullptr;
+    std::vector<std::vector<int64_t>> cold_ids;
+    std::vector<int64_t> wire_pos;
+    bool split = false;
+  };
+  std::vector<Section> sections(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const TableLookup& tl = tables[t];
+    EMBRACE_CHECK(tl.table.world_ == world && tl.table.rank_ == rank,
+                  << "table shard does not belong to this communicator");
+    EMBRACE_CHECK_EQ(static_cast<int>(tl.all_ids.size()), world);
+    EMBRACE_CHECK(tl.all_ids[static_cast<size_t>(rank)] == tl.my_ids,
+                  << "gathered ids inconsistent with my ids");
+    HotRowCache* cache = tl.cache;
+    const bool cached = cache != nullptr && cache->enabled();
+    // Feed the refresh vote even while the hot set is still empty — the
+    // counters are what bootstrap the first promotion epoch.
+    if (cached) cache->record_access(tl.my_ids);
+    Section& s = sections[t];
+    s.split = cached && cache->hot_count() > 0;
+    s.ids = &tl.all_ids;
+    // With a live hot set, every rank filters every worker's id list
+    // against the same rank-agreed membership: the shrunken AlltoAll
+    // carries cold ids only and stays SPMD-consistent by construction.
+    if (s.split) {
+      s.cold_ids.resize(tl.all_ids.size());
+      for (size_t w = 0; w < tl.all_ids.size(); ++w) {
+        s.cold_ids[w].reserve(tl.all_ids[w].size());
+        for (int64_t id : tl.all_ids[w]) {
+          if (!cache->is_hot(id)) s.cold_ids[w].push_back(id);
+        }
+      }
+      s.ids = &s.cold_ids;
+    }
+    s.wire_pos.reserve(tl.my_ids.size());
+    for (size_t k = 0; k < tl.my_ids.size(); ++k) {
+      if (!s.split || !cache->is_hot(tl.my_ids[k])) {
+        s.wire_pos.push_back(static_cast<int64_t>(k));
+      }
+    }
+  }
+  // Look up every worker's (cold) ids in my column shards, writing each
+  // table's rows straight into that worker's payload.
+  std::vector<comm::Bytes> payloads(static_cast<size_t>(world));
+  int64_t wire_bytes = 0;
+  for (int w = 0; w < world; ++w) {
+    size_t size = 0;
+    for (size_t t = 0; t < tables.size(); ++t) {
+      size += (*sections[t].ids)[static_cast<size_t>(w)].size() *
+              static_cast<size_t>(tables[t].table.shard_width()) *
+              sizeof(float);
+    }
+    comm::Bytes& buf = payloads[static_cast<size_t>(w)];
+    buf = comm.pool().acquire(size);
+    std::byte* p = buf.data();
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const PartitionedEmbedding& pe = tables[t].table;
+      const size_t row_bytes =
+          static_cast<size_t>(pe.shard_width()) * sizeof(float);
+      for (int64_t id : (*sections[t].ids)[static_cast<size_t>(w)]) {
+        EMBRACE_CHECK(id >= 0 && id < pe.vocab_, << "id out of vocab");
+        std::memcpy(p, pe.shard_.row(id).data(), row_bytes);
+        p += row_bytes;
+      }
+    }
+    wire_bytes += static_cast<int64_t>(size);
+  }
+  lookup_bytes_counter().add(wire_bytes);
+  auto received = exchange(comm, group, std::move(payloads));
+  // Assemble my batch's full-dim vectors from the column slices, reading the
+  // wire buffers in place and recycling them once consumed.
+  std::vector<Tensor> out;
+  out.reserve(tables.size());
+  for (const TableLookup& tl : tables) {
+    out.emplace_back(std::vector<int64_t>{
+        static_cast<int64_t>(tl.my_ids.size()), tl.table.dim_});
+  }
+  std::vector<size_t> sizes(tables.size());
+  for (int r = 0; r < world; ++r) {
+    comm::Bytes& buf = received[static_cast<size_t>(r)];
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const auto [c0, c1] = tables[t].table.col_range(r);
+      sizes[t] = sections[t].wire_pos.size() * static_cast<size_t>(c1 - c0) *
+                 sizeof(float);
+    }
+    const auto parts = comm::split_sections(buf, sizes);
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const auto [c0, c1] = tables[t].table.col_range(r);
+      const size_t row_bytes = static_cast<size_t>(c1 - c0) * sizeof(float);
+      const std::byte* src = parts[t].data();
+      for (int64_t pos : sections[t].wire_pos) {
+        std::memcpy(out[t].row(pos).data() + c0, src, row_bytes);
+        src += row_bytes;
+      }
+    }
+    comm.pool().release(std::move(buf));
+  }
+  for (size_t t = 0; t < tables.size(); ++t) {
+    HotRowCache* cache = tables[t].cache;
+    if (cache == nullptr || !cache->enabled()) continue;
+    const std::vector<int64_t>& my_ids = tables[t].my_ids;
+    const int64_t wire = static_cast<int64_t>(sections[t].wire_pos.size());
+    if (sections[t].split) {
+      // Hot positions come straight out of the local replica, full-dim.
+      for (size_t k = 0; k < my_ids.size(); ++k) {
+        if (!cache->is_hot(my_ids[k])) continue;
+        auto src = cache->row(my_ids[k]);
+        auto dst = out[t].row(static_cast<int64_t>(k));
+        std::copy(src.begin(), src.end(), dst.begin());
+      }
+    }
+    static obs::Counter& hits = obs::counter("embed.cache.hits");
+    static obs::Counter& misses = obs::counter("embed.cache.misses");
+    hits.add(static_cast<int64_t>(my_ids.size()) - wire);
+    misses.add(wire);
+  }
+  return out;
+}
+
 Tensor PartitionedEmbedding::distributed_lookup(
     comm::Communicator& comm, const std::vector<std::vector<int64_t>>& all_ids,
     const std::vector<int64_t>& my_ids, const EmbedExchange& ex) const {
-  EMBRACE_CHECK_EQ(static_cast<int>(all_ids.size()), world_);
-  EMBRACE_CHECK(all_ids[static_cast<size_t>(rank_)] == my_ids,
-                << "gathered ids inconsistent with my ids");
-  HotRowCache* cache = ex.cache;
-  const bool cached = cache != nullptr && cache->enabled();
-  // Feed the refresh vote even while the hot set is still empty — the
-  // counters are what bootstrap the first promotion epoch.
-  if (cached) cache->record_access(my_ids);
-  const bool split = cached && cache->hot_count() > 0;
-  // With a live hot set, every rank filters every worker's id list against
-  // the same rank-agreed membership: the shrunken AlltoAll carries cold ids
-  // only and stays SPMD-consistent by construction.
-  std::vector<std::vector<int64_t>> cold_ids;
-  const std::vector<std::vector<int64_t>>* lookup_ids = &all_ids;
-  if (split) {
-    cold_ids.resize(all_ids.size());
-    for (size_t w = 0; w < all_ids.size(); ++w) {
-      cold_ids[w].reserve(all_ids[w].size());
-      for (int64_t id : all_ids[w]) {
-        if (!cache->is_hot(id)) cold_ids[w].push_back(id);
+  const TableLookup one{
+      .table = *this, .all_ids = all_ids, .my_ids = my_ids, .cache = ex.cache};
+  return std::move(distributed_lookup(comm, std::span(&one, 1), ex.group)[0]);
+}
+
+std::vector<SparseRows> PartitionedEmbedding::exchange_grad(
+    comm::Communicator& comm, std::span<const TableGrad> tables,
+    comm::CommGroup* group) {
+  const int world = comm.size();
+  // Hot rows never touch the AlltoAll: their gradients park in the cache's
+  // pending buffer until the next hotsync AllReduce. The membership is
+  // rank-agreed, so every rank ships the same cold row set.
+  std::vector<SparseRows> cold_storage(tables.size());
+  std::vector<const SparseRows*> cold(tables.size());
+  std::vector<const comm::Codec*> codecs(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const TableGrad& tg = tables[t];
+    EMBRACE_CHECK(tg.table.world_ == world && tg.table.rank_ == comm.rank(),
+                  << "table shard does not belong to this communicator");
+    EMBRACE_CHECK_EQ(tg.part.num_total_rows(), tg.table.vocab_);
+    EMBRACE_CHECK_EQ(tg.part.dim(), tg.table.dim_);
+    codecs[t] = tg.codec;
+    cold[t] = &tg.part;
+    HotRowCache* cache = tg.cache;
+    if (cache != nullptr && cache->enabled() && cache->hot_count() > 0) {
+      auto [hot, rest] = tg.part.split_by_membership(cache->hot_rows());
+      cache->accumulate(std::move(hot));
+      cold_storage[t] = std::move(rest);
+      cold[t] = &cold_storage[t];
+    }
+  }
+  // Ship each rank the column slices it owns, serialized back to back into
+  // one pooled wire buffer (values codec-encoded when a codec is active).
+  std::vector<comm::Bytes> payloads(static_cast<size_t>(world));
+  std::vector<SparseRows> slices(tables.size());
+  std::vector<size_t> sizes(tables.size());
+  int64_t wire_bytes = 0;
+  for (int r = 0; r < world; ++r) {
+    size_t size = 0;
+    bool any_rows = false;
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const auto [c0, c1] = tables[t].table.col_range(r);
+      slices[t] = cold[t]->slice_columns(c0, c1);
+      sizes[t] = comm::sparse_wire_bytes(slices[t], codecs[t]);
+      size += sizes[t];
+      any_rows |= !slices[t].empty();
+    }
+    // An all-empty payload skips the pool, as comm::sparse_pack_wire does.
+    comm::Bytes& buf = payloads[static_cast<size_t>(r)];
+    buf = any_rows ? comm.pool().acquire(size) : comm::Bytes(size);
+    size_t offset = 0;
+    for (size_t t = 0; t < tables.size(); ++t) {
+      comm::sparse_pack_wire_into(slices[t], codecs[t],
+                                  std::span(buf).subspan(offset, sizes[t]));
+      offset += sizes[t];
+    }
+    wire_bytes += static_cast<int64_t>(size);
+  }
+  grad_bytes_counter().add(wire_bytes);
+  auto received = exchange(comm, group, std::move(payloads));
+  // Sum the contributions of all workers for my shards, in rank order.
+  // Raw sections are parsed in place and assembled in one pass; encoded
+  // sections cannot be viewed in place, so they are decoded first.
+  std::vector<std::vector<SparseRows::WireView>> views(tables.size());
+  std::vector<SparseRows> decoded;
+  for (const TableGrad& tg : tables) {
+    decoded.push_back(SparseRows::empty(tg.table.vocab_,
+                                        tg.table.shard_width()));
+  }
+  for (const comm::Bytes& buf : received) {
+    const auto parts = comm::split_sparse_wire(buf, codecs);
+    for (size_t t = 0; t < tables.size(); ++t) {
+      if (codecs[t] != nullptr) {
+        decoded[t] = SparseRows::concat(
+            decoded[t], comm::sparse_unpack_wire(parts[t], codecs[t]));
+      } else {
+        views[t].push_back(
+            SparseRows::parse_packed(parts[t].data(), parts[t].size()));
       }
     }
-    lookup_ids = &cold_ids;
   }
-  // Look up every worker's (cold) ids in my column shard, send each its
-  // slice.
-  std::vector<comm::Bytes> payloads(static_cast<size_t>(world_));
-  int64_t wire_bytes = 0;
-  for (int w = 0; w < world_; ++w) {
-    payloads[static_cast<size_t>(w)] = pack_tensor(
-        comm, shard_lookup((*lookup_ids)[static_cast<size_t>(w)]));
-    wire_bytes += static_cast<int64_t>(payloads[static_cast<size_t>(w)].size());
+  std::vector<SparseRows> out;
+  out.reserve(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const PartitionedEmbedding& pe = tables[t].table;
+    out.push_back(codecs[t] != nullptr
+                      ? decoded[t].coalesced()
+                      : SparseRows::concat_views(pe.vocab_, pe.shard_width(),
+                                                 views[t])
+                            .coalesced());
   }
-  lookup_bytes_counter().add(wire_bytes);
-  auto received = exchange(comm, ex.group, std::move(payloads));
-  // Positions of my batch served by the wire (all of them when uncached).
-  std::vector<int64_t> cold_pos;
-  cold_pos.reserve(my_ids.size());
-  for (size_t k = 0; k < my_ids.size(); ++k) {
-    if (!split || !cache->is_hot(my_ids[k])) {
-      cold_pos.push_back(static_cast<int64_t>(k));
-    }
-  }
-  // Assemble my batch's full-dim vectors from the column slices, reading the
-  // wire buffers in place and recycling them once consumed.
-  Tensor out({static_cast<int64_t>(my_ids.size()), dim_});
-  for (int r = 0; r < world_; ++r) {
-    const auto [c0, c1] = col_range(r);
-    comm::Bytes& buf = received[static_cast<size_t>(r)];
-    Tensor slice = unpack_tensor(
-        buf, static_cast<int64_t>(cold_pos.size()), c1 - c0);
-    comm.pool().release(std::move(buf));
-    for (size_t k = 0; k < cold_pos.size(); ++k) {
-      auto src = slice.row(static_cast<int64_t>(k));
-      auto dst = out.row(cold_pos[k]);
-      for (int64_t c = c0; c < c1; ++c) dst[c] = src[c - c0];
-    }
-  }
-  if (split) {
-    // Hot positions come straight out of the local replica, full-dim.
-    for (size_t k = 0; k < my_ids.size(); ++k) {
-      if (!cache->is_hot(my_ids[k])) continue;
-      auto src = cache->row(my_ids[k]);
-      auto dst = out.row(static_cast<int64_t>(k));
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-  if (cached) {
-    static obs::Counter& hits = obs::counter("embed.cache.hits");
-    static obs::Counter& misses = obs::counter("embed.cache.misses");
-    hits.add(static_cast<int64_t>(my_ids.size()) -
-             static_cast<int64_t>(cold_pos.size()));
-    misses.add(static_cast<int64_t>(cold_pos.size()));
-  }
+  for (comm::Bytes& buf : received) comm.pool().release(std::move(buf));
   return out;
 }
 
 SparseRows PartitionedEmbedding::exchange_grad(comm::Communicator& comm,
                                                const SparseRows& part,
                                                const EmbedExchange& ex) const {
-  EMBRACE_CHECK_EQ(part.num_total_rows(), vocab_);
-  EMBRACE_CHECK_EQ(part.dim(), dim_);
-  // Hot rows never touch the AlltoAll: their gradients park in the cache's
-  // pending buffer until the next hotsync AllReduce. The membership is
-  // rank-agreed, so every rank ships the same cold row set.
-  HotRowCache* cache = ex.cache;
-  const SparseRows* cold = &part;
-  SparseRows cold_storage;
-  if (cache != nullptr && cache->enabled() && cache->hot_count() > 0) {
-    auto [hot, rest] = part.split_by_membership(cache->hot_rows());
-    cache->accumulate(std::move(hot));
-    cold_storage = std::move(rest);
-    cold = &cold_storage;
-  }
-  // Ship each rank the column slice it owns, serialized straight into
-  // pooled wire buffers (values codec-encoded when a codec is active).
-  std::vector<comm::Bytes> payloads(static_cast<size_t>(world_));
-  int64_t wire_bytes = 0;
-  for (int r = 0; r < world_; ++r) {
-    const auto [c0, c1] = col_range(r);
-    payloads[static_cast<size_t>(r)] =
-        comm::sparse_pack_wire(comm, cold->slice_columns(c0, c1), ex.codec);
-    wire_bytes += static_cast<int64_t>(payloads[static_cast<size_t>(r)].size());
-  }
-  grad_bytes_counter().add(wire_bytes);
-  auto received = exchange(comm, ex.group, std::move(payloads));
-  if (ex.codec != nullptr) {
-    // Encoded payloads cannot be viewed in place: decode each, then sum.
-    SparseRows acc = SparseRows::empty(vocab_, shard_width());
-    for (comm::Bytes& buf : received) {
-      acc = SparseRows::concat(acc, comm::sparse_unpack_wire(buf, ex.codec));
-      comm.pool().release(std::move(buf));
-    }
-    return acc.coalesced();
-  }
-  // Sum the contributions of all workers for my shard: parse every payload
-  // in place, assemble in one pass, coalesce once.
-  std::vector<SparseRows::WireView> views;
-  views.reserve(received.size());
-  for (const comm::Bytes& buf : received) {
-    views.push_back(SparseRows::parse_packed(buf.data(), buf.size()));
-  }
-  SparseRows acc = SparseRows::concat_views(vocab_, shard_width(), views);
-  for (comm::Bytes& buf : received) comm.pool().release(std::move(buf));
-  return acc.coalesced();
+  const TableGrad one{
+      .table = *this, .part = part, .codec = ex.codec, .cache = ex.cache};
+  return std::move(exchange_grad(comm, std::span(&one, 1), ex.group)[0]);
 }
 
 // --- RowPartitionedEmbedding ---

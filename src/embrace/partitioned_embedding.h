@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,25 @@ struct EmbedExchange {
   HotRowCache* cache = nullptr;
 };
 
+class PartitionedEmbedding;
+
+// One table's section of a merged lookup: this rank's shard, every
+// worker's gathered ids (all_ids[rank] == my_ids) and the table's cache.
+struct TableLookup {
+  const PartitionedEmbedding& table;
+  const std::vector<std::vector<int64_t>>& all_ids;
+  const std::vector<int64_t>& my_ids;
+  HotRowCache* cache = nullptr;
+};
+
+// One table's section of a merged gradient exchange.
+struct TableGrad {
+  const PartitionedEmbedding& table;
+  const SparseRows& part;
+  const comm::Codec* codec = nullptr;
+  HotRowCache* cache = nullptr;
+};
+
 class PartitionedEmbedding {
  public:
   // Builds the shard for `rank` of `world`. `master_rng` must be identical
@@ -69,34 +89,55 @@ class PartitionedEmbedding {
   Tensor& shard() { return shard_; }
   const Tensor& shard() const { return shard_; }
 
+  // The multi-table forms below move every table's section in ONE
+  // collective: each peer's payload is the concatenation of that peer's
+  // per-table sections, in table order, with no framing (the receiver
+  // sizes each section itself; comm/sparse_collectives.h split_*). The
+  // single-table signatures are their one-table case, so a one-table
+  // exchange keeps the exact wire it always had.
+
   // Gathers every worker's flat token ids (metadata exchange preceding the
-  // lookup; also provides Algorithm 1's gathered D_cur / D_next).
+  // lookup; also provides Algorithm 1's gathered D_cur / D_next). Returns
+  // [table][worker] ids. Table t's ids, all in [0, vocab), travel as
+  // id + t·vocab, so the receiver splits a payload into its tables by id
+  // range alone: the wire carries no section lengths, and one table's
+  // payload is its plain id list. A payload out of table order throws
+  // WireFormatError.
+  static std::vector<std::vector<std::vector<int64_t>>> allgather_ids(
+      comm::Communicator& comm, std::span<const std::vector<int64_t>> my_ids,
+      int64_t vocab);
   static std::vector<std::vector<int64_t>> allgather_ids(
       comm::Communicator& comm, const std::vector<int64_t>& my_ids);
 
-  // Hybrid-communication forward: returns the full-dim lookup result for
-  // my_ids ((my_ids.size() × dim)). `all_ids` must be the gathered ids of
-  // this step (all_ids[comm.rank()] == my_ids). With a cache in `ex`, hot
-  // ids are served from the local replica (counted as embed.cache.hits)
-  // and only cold ids enter the AlltoAll — every rank filters every
-  // worker's id list against the same rank-agreed membership, so the
-  // shrunken exchange stays SPMD-consistent.
+  // Hybrid-communication forward: returns, per table, the full-dim lookup
+  // result for my_ids ((my_ids.size() × dim)). With a cache, hot ids are
+  // served from the local replica (counted as embed.cache.hits) and only
+  // cold ids enter the AlltoAll — every rank filters every worker's id
+  // list against the same rank-agreed membership, so the shrunken exchange
+  // stays SPMD-consistent. A section of the wrong size throws
+  // WireFormatError.
+  static std::vector<Tensor> distributed_lookup(
+      comm::Communicator& comm, std::span<const TableLookup> tables,
+      comm::CommGroup* group = nullptr);
   Tensor distributed_lookup(comm::Communicator& comm,
                             const std::vector<std::vector<int64_t>>& all_ids,
                             const std::vector<int64_t>& my_ids,
                             const EmbedExchange& ex = {}) const;
 
-  // Hybrid-communication backward for one gradient part: `part` holds
-  // full-dim rows over the vocab (this rank's contribution, coalesced or
-  // not). Exchanges column slices; returns the *coalesced* gradient for
-  // this rank's shard (rows over vocab × shard_width), summed over all
-  // workers' contributions. `ex.codec` compresses each slice's values
-  // section on the wire (comm/sparse_collectives.h contract; gradients
-  // only — the forward lookup always ships exact parameters). Lossy codecs
-  // quantize once per slice here (a single hop), so pair them with error
-  // feedback upstream. With a cache, the hot-row part of `part` is
-  // accumulated into the cache's pending sync buffer instead of
-  // travelling; the returned shard gradient covers cold rows only.
+  // Hybrid-communication backward: each table's `part` holds full-dim rows
+  // over the vocab (this rank's contribution, coalesced or not). Exchanges
+  // column slices; returns, per table, the *coalesced* gradient for this
+  // rank's shard (rows over vocab × shard_width), summed over all workers'
+  // contributions. A table's codec compresses its slices' values sections
+  // on the wire (comm/sparse_collectives.h contract; gradients only — the
+  // forward lookup always ships exact parameters). Lossy codecs quantize
+  // once per slice here (a single hop), so pair them with error feedback
+  // upstream. With a cache, the hot-row part of `part` is accumulated into
+  // the cache's pending sync buffer instead of travelling; the returned
+  // shard gradient covers cold rows only.
+  static std::vector<SparseRows> exchange_grad(
+      comm::Communicator& comm, std::span<const TableGrad> tables,
+      comm::CommGroup* group = nullptr);
   SparseRows exchange_grad(comm::Communicator& comm, const SparseRows& part,
                            const EmbedExchange& ex = {}) const;
 

@@ -82,8 +82,10 @@ struct TrainConfig {
   // Number of embedding tables. With T > 1, each sentence is split into T
   // contiguous segments and segment t is embedded by table t — the
   // functional analogue of GNMT/Transformer's separate encoder/decoder
-  // embeddings. Every table gets its own communication stream (its own
-  // AlltoAll / prior / delayed ops under EmbRace, as in paper Fig. 6).
+  // embeddings. Every table keeps its own shard, optimizer, codec and
+  // cache. The hybrid strategies carry all tables in one op per kind and
+  // step (one embdata / prior / delayed AlltoAllv under EmbRace); the
+  // Horovod and PS strategies run one gradient op per table.
   int num_tables = 1;
 
   OptimKind optim = OptimKind::kAdam;

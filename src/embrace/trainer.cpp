@@ -378,13 +378,15 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
       }
     }
 
-    // --- sparse gradient communication, one stream per table ---
+    // --- sparse gradient communication, every table in one call ---
+    std::vector<SparseRows> emb_grads;
+    emb_grads.reserve(static_cast<size_t>(tables));
     for (int t = 0; t < tables; ++t) {
-      SparseRows my_grad(cfg.vocab, seg.ids[t],
-                         gather_rows(d_emb, seg.pos[t]));
-      my_grad.scale_(inv_n);
-      sync->exchange_grad(step, t, std::move(my_grad), emb_handles);
+      emb_grads.emplace_back(cfg.vocab, seg.ids[t],
+                             gather_rows(d_emb, seg.pos[t]));
+      emb_grads.back().scale_(inv_n);
     }
+    sync->exchange_grad(step, std::move(emb_grads), emb_handles);
     sync->step_end(step);
     }  // end comm-issue scope
 

@@ -3,6 +3,7 @@
 // gradient, and the row-vs-column load-balance claim (§4.1.1).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "comm/cluster.h"
@@ -104,6 +105,56 @@ TEST_P(PartitionedP, ExchangeGradEqualsSummedColumnSlice) {
     }
     EXPECT_LT(shard_grad.to_dense().max_abs_diff(expected), 1e-5f)
         << "rank " << comm.rank();
+  });
+}
+
+TEST_P(PartitionedP, MultiTableExchangesEqualPerTableExchanges) {
+  // The merged forms move every table in one collective; per table they
+  // must return bitwise what the single-table forms return, including a
+  // table whose ids are empty on some ranks.
+  constexpr int64_t kVocab = 25, kDim = 8;
+  constexpr int kTables = 3;
+  comm::run_cluster(world(), [&](comm::Communicator& comm) {
+    const int me = comm.rank();
+    std::vector<std::unique_ptr<PartitionedEmbedding>> tables;
+    std::vector<std::vector<int64_t>> my_ids(kTables);
+    std::vector<SparseRows> grads;
+    for (int t = 0; t < kTables; ++t) {
+      tables.push_back(std::make_unique<PartitionedEmbedding>(
+          kVocab, kDim, me, world(), Rng(5).split(static_cast<uint64_t>(t))));
+      // Table 1 is empty on odd ranks.
+      const int n = (t == 1 && me % 2 == 1) ? 0 : 3 + me + t;
+      for (int i = 0; i < n; ++i) {
+        my_ids[t].push_back((me * 5 + t * 7 + i * 3) % kVocab);
+      }
+      Rng vr = Rng(13).split(static_cast<uint64_t>(me * kTables + t));
+      grads.emplace_back(kVocab, my_ids[t],
+                         Tensor::randn({static_cast<int64_t>(n), kDim}, vr));
+    }
+    const auto all_ids =
+        PartitionedEmbedding::allgather_ids(comm, my_ids, kVocab);
+    ASSERT_EQ(all_ids.size(), static_cast<size_t>(kTables));
+    std::vector<TableLookup> lookups;
+    std::vector<TableGrad> parts;
+    for (int t = 0; t < kTables; ++t) {
+      EXPECT_EQ(all_ids[t],
+                PartitionedEmbedding::allgather_ids(comm, my_ids[t]));
+      lookups.push_back({.table = *tables[t],
+                         .all_ids = all_ids[t],
+                         .my_ids = my_ids[t]});
+      parts.push_back({.table = *tables[t], .part = grads[t]});
+    }
+    const auto rows = PartitionedEmbedding::distributed_lookup(comm, lookups);
+    const auto shard_grads = PartitionedEmbedding::exchange_grad(comm, parts);
+    for (int t = 0; t < kTables; ++t) {
+      const Tensor one =
+          tables[t]->distributed_lookup(comm, all_ids[t], my_ids[t]);
+      EXPECT_EQ(rows[t].max_abs_diff(one), 0.0f) << "table " << t;
+      const SparseRows g = tables[t]->exchange_grad(comm, grads[t]);
+      EXPECT_EQ(shard_grads[t].indices(), g.indices()) << "table " << t;
+      EXPECT_EQ(shard_grads[t].values().max_abs_diff(g.values()), 0.0f)
+          << "table " << t;
+    }
   });
 }
 

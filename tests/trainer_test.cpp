@@ -232,11 +232,13 @@ TEST(Trainer, DenseRouteGridMatchesOracle) {
 TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
+  cfg.num_tables = 2;
+  cfg.min_sentence_len = 4;
   cfg.steps = 3;
   const auto stats = run_distributed(cfg, 2);
   ASSERT_FALSE(stats.comm_log.empty());
-  // Per step: embdata before dense ops; prior before delayed; delayed(s)
-  // before embdata(s+1).
+  // Per step: prior before embdata before the dense ops before delayed;
+  // delayed(s) before prior(s+1). Each op carries both tables.
   auto position = [&](const std::string& name) {
     for (size_t i = 0; i < stats.comm_log.size(); ++i) {
       if (stats.comm_log[i].name == name) return static_cast<int>(i);
@@ -246,36 +248,39 @@ TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
   };
   for (int s = 0; s < cfg.steps; ++s) {
     const std::string step = std::to_string(s);
-    EXPECT_LT(position("prior/s" + step + "/t0"),
-              position("delayed/s" + step + "/t0"));
+    EXPECT_LT(position("embdata/s" + step), position("dense/s" + step + "/0"));
+    EXPECT_LT(position("dense/s" + step + "/0"),
+              position("delayed/s" + step));
+    EXPECT_LT(position("prior/s" + step), position("delayed/s" + step));
     if (s > 0) {
-      EXPECT_LT(position("delayed/s" + std::to_string(s - 1) + "/t0"),
-                position("embdata/s" + step + "/t0"));
+      const std::string prev = std::to_string(s - 1);
+      EXPECT_LT(position("delayed/s" + prev), position("prior/s" + step));
+      EXPECT_LT(position("delayed/s" + prev), position("embdata/s" + step));
     }
   }
 }
 
-TEST(Trainer, NoVssGathersOnlyCurrentIds) {
+TEST(Trainer, HybridStrategiesGatherIdsOncePerStep) {
   // With the cache off, the hybrid strategies' only allgatherv calls are
-  // the per-table id gathers on the main thread. EmbRace gathers D_cur and
-  // D_next (Algorithm 1's vertical split reads D_next); noVSS has no split,
-  // so it gathers D_cur alone: one call per rank, step and table.
+  // the id gathers on the main thread, each carrying every table: step 0
+  // gathers its own batch, every step but the last gathers the next batch,
+  // and step s reuses step s-1's gather as its D_cur. So the count is
+  // workers·steps whatever the table count.
   auto& calls = obs::counter("comm.calls{collective=allgatherv}");
   TrainConfig cfg = base_config();
-  cfg.num_tables = 2;
   cfg.min_sentence_len = 4;
   cfg.steps = 3;
   constexpr int kWorkers = 3;
-  const int64_t per_pass =
-      int64_t{kWorkers} * cfg.steps * cfg.num_tables;
-  for (const auto& [s, passes] :
-       {std::pair{StrategyKind::kEmbRaceNoVss, 1},
-        std::pair{StrategyKind::kEmbRace, 2}}) {
-    cfg.strategy = s;
-    const int64_t before = calls.value();
-    run_distributed(cfg, kWorkers);
-    EXPECT_EQ(calls.value() - before, passes * per_pass)
-        << strategy_kind_name(s);
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRaceNoVss, StrategyKind::kEmbRace}) {
+    for (const int tables : {2, 3}) {
+      cfg.strategy = s;
+      cfg.num_tables = tables;
+      const int64_t before = calls.value();
+      run_distributed(cfg, kWorkers);
+      EXPECT_EQ(calls.value() - before, int64_t{kWorkers} * cfg.steps)
+          << strategy_kind_name(s) << " tables=" << tables;
+    }
   }
 }
 
@@ -339,10 +344,12 @@ TEST(Trainer, MultiTableMatchesOracleForAllStrategies) {
   }
 }
 
-TEST(Trainer, MultiTableEmbRaceHasPerTableCommStreams) {
+TEST(Trainer, MultiTableEmbRaceRunsOneOpPerKindPerStep) {
+  // Every table rides the same embdata / prior / delayed op: the op count
+  // per step does not grow with the table count.
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
-  cfg.num_tables = 2;
+  cfg.num_tables = 3;
   cfg.min_sentence_len = 4;
   cfg.steps = 2;
   const auto stats = run_distributed(cfg, 2);
@@ -351,10 +358,66 @@ TEST(Trainer, MultiTableEmbRaceHasPerTableCommStreams) {
     priors += r.name.rfind("prior/", 0) == 0;
     delayeds += r.name.rfind("delayed/", 0) == 0;
     datas += r.name.rfind("embdata/", 0) == 0;
+    EXPECT_EQ(r.name.find("/t"), std::string::npos) << r.name;
   }
-  EXPECT_EQ(priors, cfg.steps * 2);
-  EXPECT_EQ(delayeds, cfg.steps * 2);
-  EXPECT_EQ(datas, cfg.steps * 2);
+  EXPECT_EQ(priors, cfg.steps);
+  EXPECT_EQ(delayeds, cfg.steps);
+  EXPECT_EQ(datas, cfg.steps);
+}
+
+TEST(Trainer, MultiTableHybridGridMatchesOracle) {
+  // The merged ops carry every table's section in one AlltoAllv, each
+  // with its own codec, error-feedback residual and hot-row cache: the
+  // hybrid strategies must stay oracle-equal at every table count, wire
+  // codec, cache setting and route. Sentences of 1..3 tokens leave
+  // table 0's segment empty on every rank-step whose batch is shorter than
+  // 3 tokens, so at 3 tables empty sections ride next to full ones.
+  constexpr int kWorkers = 4;
+  auto& cache_hits = obs::counter("embed.cache.hits");
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRace, StrategyKind::kEmbRaceNoVss}) {
+    for (const int tables : {1, 2, 3}) {
+      for (const CodecKind codec :
+           {CodecKind::kIdentity, CodecKind::kFp16, CodecKind::kAdaptive}) {
+        for (const bool cache : {false, true}) {
+          for (const bool topo : {false, true}) {
+            TrainConfig cfg = base_config();
+            cfg.strategy = s;
+            cfg.num_tables = tables;
+            cfg.codec = codec;
+            cfg.steps = 6;
+            cfg.batch_per_worker = 4;
+            cfg.min_sentence_len = 1;
+            cfg.max_sentence_len = 3;
+            if (cache) {
+              cfg.cache_frac = 0.25;
+              cfg.cache_staleness = 0;
+              cfg.cache_refresh_steps = 2;
+              // Skewed ids on bandwidth-bound links, where the refresh
+              // pricing finds a hot set worth replicating.
+              cfg.zipf_skew = 1.2;
+              cfg.link_alpha_us = 1.0;
+              cfg.link_bytes_per_us = 10.0;
+            }
+            if (topo) {
+              cfg.topo_nodes = 2;
+              cfg.topo_gpus_per_node = 2;
+            }
+            SCOPED_TRACE(std::string(strategy_kind_name(s)) + " tables=" +
+                         std::to_string(tables) + " codec=" +
+                         codec_kind_name(codec) +
+                         (cache ? " cache" : "") + (topo ? " 2x2" : " flat"));
+            const int64_t hits = cache_hits.value();
+            const auto dist = run_distributed(cfg, kWorkers);
+            const auto oracle = run_oracle(cfg, kWorkers);
+            expect_losses_close(dist.losses, oracle.losses, 2e-3f);
+            // The cached runs really serve rows from the replica.
+            EXPECT_EQ(cache_hits.value() > hits, cache);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Trainer, MultiTableLossDiffersFromSingleTable) {
