@@ -20,23 +20,4 @@ ChunkPlan ChunkPlan::over(int64_t elems, int64_t chunk_bytes,
   return plan;
 }
 
-std::vector<std::pair<size_t, size_t>> plan_buckets(
-    std::span<const int64_t> item_bytes, int64_t bucket_bytes) {
-  std::vector<std::pair<size_t, size_t>> buckets;
-  size_t begin = 0;
-  int64_t filled = 0;
-  for (size_t i = 0; i < item_bytes.size(); ++i) {
-    EMBRACE_CHECK_GE(item_bytes[i], 0);
-    if (i > begin &&
-        (bucket_bytes <= 0 || filled + item_bytes[i] > bucket_bytes)) {
-      buckets.emplace_back(begin, i);
-      begin = i;
-      filled = 0;
-    }
-    filled += item_bytes[i];
-  }
-  if (begin < item_bytes.size()) buckets.emplace_back(begin, item_bytes.size());
-  return buckets;
-}
-
 }  // namespace embrace::comm

@@ -1,17 +1,13 @@
-// Chunk/bucket arithmetic for chunk-granular communication (DESIGN.md §10).
+// Chunk arithmetic for chunk-granular communication (DESIGN.md §10).
 //
 // ChunkPlan slices a contiguous element range into fixed-byte chunks (the
-// transfer quanta of the pipelined collectives); plan_buckets fuses a run
-// of small payloads into byte-bounded buckets (the inverse operation: many
-// tiny tensors -> one transfer). Both are pure arithmetic: every rank
-// computing a plan over the same inputs gets the same answer, which the
-// chunked collectives rely on for tag alignment.
+// transfer quanta of the pipelined collectives). It is pure arithmetic:
+// every rank computing a plan over the same inputs gets the same answer,
+// which the chunked collectives rely on for tag alignment.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
-#include <vector>
 
 namespace embrace::comm {
 
@@ -43,20 +39,5 @@ struct ChunkPlan {
     return {begin < elems ? begin : elems, end < elems ? end : elems};
   }
 };
-
-// Greedy bucketing of consecutive payloads: walks `item_bytes` in order and
-// closes a bucket when adding the next item would exceed `bucket_bytes`
-// (an item larger than the budget gets a bucket of its own). Returns
-// [begin, end) index ranges covering every item in order. bucket_bytes <= 0
-// puts each item in its own bucket.
-//
-// Zero-byte items never close a bucket: they cannot push `filled` past the
-// budget, so they merge into the current bucket — in particular a run of
-// zero-byte trailing items rides the preceding bucket instead of spawning
-// empty transfers, and a bucket that sits exactly at its budget still
-// absorbs them. (Under bucket_bytes <= 0 the per-item rule wins and
-// zero-byte items get their own buckets like everything else.)
-std::vector<std::pair<size_t, size_t>> plan_buckets(
-    std::span<const int64_t> item_bytes, int64_t bucket_bytes);
 
 }  // namespace embrace::comm

@@ -125,12 +125,6 @@ struct TrainConfig {
   // training convergent.
   double codec_topk = 0.2;
 
-  // Tensor fusion (bucketing) for the dense gradients: when > 0, dense
-  // parameter gradients are packed in backward-pass order into buckets of
-  // at most this many bytes and one collective carries each bucket
-  // (0 = one op per tensor).
-  int64_t fusion_bytes = 0;
-
   // Hot-row embedding cache (DESIGN.md §15), hybrid strategies only
   // (kEmbRace / kEmbRaceNoVss). cache_frac > 0 layers a per-rank replica
   // of the hottest rows over the column-partitioned tables: hot rows stop

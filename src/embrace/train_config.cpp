@@ -97,9 +97,6 @@ std::vector<ConfigError> TrainConfig::validate(int workers) const {
                             str(kMinChunkBytes) + ", " + str(kMaxChunkBytes) +
                             "], got " + str(chunk_bytes));
   }
-  if (fusion_bytes < 0) {
-    fail("fusion_bytes", "must be >= 0, got " + str(fusion_bytes));
-  }
   if (!(codec_topk > 0.0 && codec_topk <= 1.0)) {
     fail("codec_topk", "must be in (0, 1], got " + std::to_string(codec_topk));
   }

@@ -2,8 +2,8 @@
 // single collective carries them (Horovod's fusion buffer; also PACE's
 // "tensor fusion for better bandwidth usage", paper §6).
 //
-// Which tensors share a group is planned by comm::plan_buckets
-// (comm/chunk_plan.h). flatten() concatenates the group's current values;
+// The trainer fuses every dense head gradient, in BP-emission order, into
+// one group per run. flatten() concatenates the group's current values;
 // unflatten() writes a modified flat buffer back.
 #pragma once
 

@@ -213,48 +213,5 @@ TEST(ChunkPlan, SubElementChunkBytesYieldsOneElemQuanta) {
   EXPECT_EQ(ChunkPlan::over(0, 1, 8).num_chunks(), 1);
 }
 
-// Zero-byte items can never push `filled` past the budget, so they merge
-// into the current bucket instead of spawning empty transfers — even when
-// the bucket already sits exactly at its budget, and even when they trail
-// the last real payload.
-TEST(ChunkPlan, ZeroByteItemsMergeIntoCurrentBucket) {
-  // Zero-byte trailing items ride the previous bucket.
-  const std::vector<int64_t> trailing = {100, 100, 0, 0, 0};
-  const auto t = plan_buckets(trailing, 200);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t[0], (std::pair<size_t, size_t>{0, 5}));
-  // A bucket exactly at budget still absorbs a zero-byte item; the next
-  // real payload is what closes it.
-  const std::vector<int64_t> exact = {200, 0, 1};
-  const auto e = plan_buckets(exact, 200);
-  ASSERT_EQ(e.size(), 2u);
-  EXPECT_EQ(e[0], (std::pair<size_t, size_t>{0, 2}));
-  EXPECT_EQ(e[1], (std::pair<size_t, size_t>{2, 3}));
-  // Zero-byte items between payloads join the open bucket, not the next.
-  const std::vector<int64_t> interior = {150, 0, 100, 50};
-  const auto m = plan_buckets(interior, 200);
-  ASSERT_EQ(m.size(), 2u);
-  EXPECT_EQ(m[0], (std::pair<size_t, size_t>{0, 2}));
-  EXPECT_EQ(m[1], (std::pair<size_t, size_t>{2, 4}));
-  // All-zero runs collapse into one bucket...
-  EXPECT_EQ(plan_buckets(std::vector<int64_t>{0, 0, 0}, 64).size(), 1u);
-  // ...except under the per-item rule, which wins for zero bytes too.
-  EXPECT_EQ(plan_buckets(std::vector<int64_t>{0, 0, 0}, 0).size(), 3u);
-}
-
-TEST(ChunkPlan, PlanBucketsGreedyInOrder) {
-  const std::vector<int64_t> bytes = {100, 100, 100, 500, 40, 40};
-  // Budget 240: [100,100] | [100] | [500 oversize alone] | [40,40].
-  const auto buckets = plan_buckets(bytes, 240);
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], (std::pair<size_t, size_t>{0, 2}));
-  EXPECT_EQ(buckets[1], (std::pair<size_t, size_t>{2, 3}));
-  EXPECT_EQ(buckets[2], (std::pair<size_t, size_t>{3, 4}));
-  EXPECT_EQ(buckets[3], (std::pair<size_t, size_t>{4, 6}));
-  // Budget <= 0: one item per bucket.
-  EXPECT_EQ(plan_buckets(bytes, 0).size(), bytes.size());
-  EXPECT_TRUE(plan_buckets(std::vector<int64_t>{}, 128).empty());
-}
-
 }  // namespace
 }  // namespace embrace::comm

@@ -57,7 +57,6 @@ TEST(TrainConfigValidate, FlagsEachBadField) {
       {"chunk_bytes", [](TrainConfig& c) { c.chunk_bytes = 32; }},
       {"chunk_bytes",
        [](TrainConfig& c) { c.chunk_bytes = (int64_t{1} << 30) + 1; }},
-      {"fusion_bytes", [](TrainConfig& c) { c.fusion_bytes = -5; }},
       {"cache_frac", [](TrainConfig& c) { c.cache_frac = -0.1; }},
       {"cache_frac", [](TrainConfig& c) { c.cache_frac = 1.5; }},
       // Cache over a non-hybrid strategy: there is no AlltoAll to shrink.
