@@ -176,6 +176,11 @@ int main(int argc, char** argv) {
                 static_cast<long long>(k.bytes),
                 static_cast<long long>(k.ops));
   }
+  // Control plane (DESIGN.md §10): the leader announces each negotiation
+  // unit once — a step's gradient op group, or one quantum of a plain op.
+  std::printf("\nscheduler announcements: %lld\n",
+              static_cast<long long>(
+                  obs::counter("sched.announcements").value()));
   // Sparse-algorithm engine decisions (DESIGN.md §12) — populated by the
   // allgather strategy's per-op AlgoPicker, zero elsewhere.
   bool any_picks = false;

@@ -585,7 +585,6 @@ std::vector<const comm::Codec*> SyncContext::choose_codecs(
 sched::Handle SyncContext::submit(const char* kind, int step, double priority,
                                   int64_t bytes, sched::OpKind op_kind,
                                   std::function<void()> body) {
-  if (deferred && priority > deferred_priority) flush_deferred();
   return scheduler.submit({.name = op_name(kind, step),
                            .priority = prio(priority),
                            .bytes = bytes,
@@ -597,31 +596,12 @@ sched::Handle SyncContext::submit(const char* kind, int step, int t,
                                   double priority, int64_t bytes,
                                   sched::OpKind op_kind,
                                   std::function<void()> body) {
-  if (deferred && priority > deferred_priority) flush_deferred();
   return scheduler.submit(
       {.name = op_name(kind, step) + "/t" + std::to_string(t),
        .priority = prio(priority),
        .bytes = bytes,
        .kind = op_kind},
       std::move(body));
-}
-
-void SyncContext::defer_submit(double priority,
-                               std::function<void()> submit_fn) {
-  EMBRACE_CHECK(!deferred, << "an op is already deferred");
-  if (!prioritized) {
-    submit_fn();
-    return;
-  }
-  deferred = std::move(submit_fn);
-  deferred_priority = priority;
-}
-
-void SyncContext::flush_deferred() {
-  if (!deferred) return;
-  std::function<void()> submit_fn = std::move(deferred);
-  deferred = nullptr;
-  submit_fn();
 }
 
 void SyncContext::apply_sparse_ef(int t, SparseRows& g,

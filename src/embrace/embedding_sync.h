@@ -103,13 +103,6 @@ struct SyncContext {
   double prio(double v) {
     return prioritized ? v : static_cast<double>(fifo_seq++);
   }
-  // Submits an op of priority `priority` through `submit_fn`. FIFO
-  // strategies submit it at once. Prioritized ones park it until the first
-  // op it outranks is submitted, or until flush_deferred(). An idle leader
-  // starts whatever is queued, so an op that outranks the parked one must
-  // reach the queue before it. Holds one op at a time.
-  void defer_submit(double priority, std::function<void()> submit_fn);
-  void flush_deferred();
   // Submits the op "<kind>/s<step>" (one op carrying every table), or
   // table t's op "<kind>/s<step>/t<t>", at priority prio(priority).
   sched::Handle submit(const char* kind, int step, double priority,
@@ -132,10 +125,6 @@ struct SyncContext {
   // encode, coalescing first so the residual stays row-aligned. A no-op
   // without a lossy codec.
   void apply_sparse_ef(int t, SparseRows& g, const comm::Codec* codec);
-
-  // The op parked by defer_submit(), if any.
-  std::function<void()> deferred;
-  double deferred_priority = 0.0;
 };
 
 class EmbeddingSync {

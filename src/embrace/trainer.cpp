@@ -84,13 +84,6 @@ std::vector<int64_t> targets_of(const data::Batch& batch, int64_t classes) {
   return targets;
 }
 
-float global_mean_loss(comm::Communicator& main_ch, float local_loss,
-                       int workers) {
-  std::vector<float> v{local_loss};
-  main_ch.allreduce(v);
-  return v[0] / static_cast<float>(workers);
-}
-
 // Per-step dense op name (unique across steps for the scheduler's backlog).
 std::string dense_op(int step) { return "dense/s" + std::to_string(step); }
 
@@ -210,6 +203,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                                          cfg.batch_per_worker);
 
   std::vector<float> local_losses;
+  std::vector<float> mean_losses;  // rank 0: the global mean of every step
   try {
   for (int step = 0; step < cfg.steps; ++step) {
     obs::ScopedSpan step_span("step", "step", step);
@@ -267,7 +261,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     obs::emit_complete("fp_bp.dense", fp_bp_start,
                        std::chrono::steady_clock::now(), "step", step);
 
-    // --- dense gradient communication: one fused op per step ---
+    // --- gradient communication: one op group per step ---
     std::vector<sched::Handle> dense_handles;
     std::vector<sched::Handle> emb_handles;
     {
@@ -275,59 +269,60 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     // gathering/splitting gradients and enqueueing ops. The transfers
     // themselves run on the comm thread.
     obs::PhaseScope issue(acc, obs::Phase::kCommIssue);
+    // The step's gradient ops (dense, the embedding exchange and the
+    // trailing ops) are one op group (DESIGN.md §10): the leader announces
+    // them once, and every rank runs them back to back in priority order.
+    // So EmbRace's prior and BytePS's push run before dense, and EmbRace's
+    // delayed and the hot-row sync after it, whatever the submission order.
+    sched::NegotiatedScheduler::Group grad_ops = scheduler.open_group();
     // The head's FP and BP are one call, so every head gradient is final
     // at once: they travel as one fusion buffer (Horovod's tensor fusion).
     // Slice 0 flattens it and folds in error feedback on the comm thread,
     // then runs the whole two-level AllReduce or opens a ChunkedAllReduce
     // cursor; the final slice runs whatever remains of the ring (all of it
     // when chunking is off), scales by 1/N and unflattens. With
-    // chunk_bytes > 0 each quantum is its own negotiated slice, so
-    // higher-priority sparse ops preempt it at chunk boundaries; the
-    // result is bitwise-identical either way. A prioritized strategy
-    // submits it after the gradient ops that outrank it (EmbRace's prior,
-    // BytePS's push), so an idle leader cannot start it ahead of them.
+    // chunk_bytes > 0 each quantum is its own slice; the result is
+    // bitwise-identical either way.
     const int64_t slices = cfg.chunk_bytes > 0
                                ? comm::ChunkedAllReduce::num_quanta(
                                      dense_elems, workers, cfg.chunk_bytes)
                                : 1;
-    ctx.defer_submit(Priorities::dense(step), [&, step, slices] {
-      dense_handles.push_back(scheduler.submit(
-          {.name = dense_op(step),
-           .priority = ctx.prio(Priorities::dense(step)),
-           .bytes = dense_grads.byte_size(),
-           .kind = sched::OpKind::kDense},
-          slices,
-          [&comm_ch, &dense_grads, &dense_flat, &dense_cursor,
-           &dense_residual, grp, dense_codec, two_level_dense, slices,
-           chunk_bytes = cfg.chunk_bytes, inv_n](int64_t i) {
-            if (i == 0) {
-              dense_flat = dense_grads.flatten();
-              if (dense_codec != nullptr && !dense_codec->lossless()) {
-                // Zeroed on first use; the buffer's size never changes.
-                dense_residual.resize(dense_flat.size());
-                comm::codec_error_feedback(*dense_codec, dense_flat,
-                                           dense_residual);
-              }
-              if (two_level_dense) {
-                comm::hierarchical_allreduce(
-                    *grp, dense_flat, comm::ReduceOp::kSum, dense_codec);
-              } else {
-                dense_cursor.emplace(comm_ch, dense_flat, chunk_bytes,
-                                     comm::ReduceOp::kSum, dense_codec);
-              }
+    dense_handles.push_back(scheduler.submit(
+        {.name = dense_op(step),
+         .priority = ctx.prio(Priorities::dense(step)),
+         .bytes = dense_grads.byte_size(),
+         .kind = sched::OpKind::kDense},
+        slices,
+        [&comm_ch, &dense_grads, &dense_flat, &dense_cursor, &dense_residual,
+         grp, dense_codec, two_level_dense, slices,
+         chunk_bytes = cfg.chunk_bytes, inv_n](int64_t i) {
+          if (i == 0) {
+            dense_flat = dense_grads.flatten();
+            if (dense_codec != nullptr && !dense_codec->lossless()) {
+              // Zeroed on first use; the buffer's size never changes.
+              dense_residual.resize(dense_flat.size());
+              comm::codec_error_feedback(*dense_codec, dense_flat,
+                                         dense_residual);
             }
-            if (i + 1 < slices) {
-              dense_cursor->run_quantum(i);
-              return;
+            if (two_level_dense) {
+              comm::hierarchical_allreduce(*grp, dense_flat,
+                                           comm::ReduceOp::kSum, dense_codec);
+            } else {
+              dense_cursor.emplace(comm_ch, dense_flat, chunk_bytes,
+                                   comm::ReduceOp::kSum, dense_codec);
             }
-            if (dense_cursor.has_value()) {
-              dense_cursor->run_all();
-              dense_cursor.reset();
-            }
-            for (float& v : dense_flat) v *= inv_n;
-            dense_grads.unflatten(dense_flat);
-          }));
-    });
+          }
+          if (i + 1 < slices) {
+            dense_cursor->run_quantum(i);
+            return;
+          }
+          if (dense_cursor.has_value()) {
+            dense_cursor->run_all();
+            dense_cursor.reset();
+          }
+          for (float& v : dense_flat) v *= inv_n;
+          dense_grads.unflatten(dense_flat);
+        }));
 
     // --- sparse gradient communication, every table in one call ---
     std::vector<SparseRows> emb_grads;
@@ -338,8 +333,8 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
       emb_grads.back().scale_(inv_n);
     }
     sync->exchange_grad(step, std::move(emb_grads), emb_handles);
-    ctx.flush_deferred();
     sync->step_end(step);
+    grad_ops.close();
     }  // end comm-issue scope
 
     // --- finish the step ---
@@ -351,12 +346,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     timed_wait(emb_handles, "stall.sparse");
     stall_hist.observe(acc.phase_ms(obs::Phase::kCommWait));
     steps_done.increment();
-    {
-      // The loss allreduce blocks on every peer reaching the same point —
-      // comm wait, same as the handle waits.
-      obs::PhaseScope wait(acc, obs::Phase::kCommWait);
-      local_losses.push_back(global_mean_loss(main_ch, local_loss, workers));
-    }
+    local_losses.push_back(local_loss);
     loader.advance();
 
     if (cfg.perf_profile) {
@@ -392,6 +382,22 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
       }
     }
   }
+  // Every step's global mean loss from ONE allgather after the loop, not a
+  // ring allreduce per step: nothing reads the losses before the run ends.
+  // Rank r's losses are block r; the left fold over ranks 0..N-1 is the
+  // sum order a one-element ring allreduce produces, so the means are
+  // bitwise those of a per-step allreduce.
+  const std::vector<float> all_losses = main_ch.allgather(local_losses);
+  if (rank == 0) {
+    const size_t steps = local_losses.size();
+    for (size_t s = 0; s < steps; ++s) {
+      float sum = all_losses[s];
+      for (int r = 1; r < workers; ++r) {
+        sum += all_losses[static_cast<size_t>(r) * steps + s];
+      }
+      mean_losses.push_back(sum / static_cast<float>(workers));
+    }
+  }
   } catch (...) {
     // Failure path (DESIGN.md §8): a collective timed out or an op body
     // threw. Tear down the local scheduler without negotiating with
@@ -416,7 +422,7 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
   scheduler.shutdown();
   if (rank == 0) {
     std::lock_guard<std::mutex> lock(shared.result_mutex);
-    shared.losses = std::move(local_losses);
+    shared.losses = std::move(mean_losses);
     shared.comm_log = scheduler.records();
   }
 }

@@ -1,5 +1,6 @@
 #include "sched/negotiated_scheduler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <sstream>
@@ -50,6 +51,7 @@ std::string describe(const std::exception_ptr& e) {
 struct NegotiatedScheduler::Op {
   OpDesc desc;
   uint64_t seq = 0;
+  uint64_t group = 0;  // the op group it was staged in; 0 for a plain op
   int64_t slices = 1;
   int64_t next_slice = 0;  // comm thread only
   SliceFn fn;
@@ -103,9 +105,19 @@ Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
                    : std::string("scheduler that was aborted")));
     }
     EMBRACE_CHECK(!shutdown_requested_, << "submit after shutdown");
-    EMBRACE_CHECK(submitted_.find(op->desc.name) == submitted_.end(),
+    EMBRACE_CHECK(submitted_.find(op->desc.name) == submitted_.end() &&
+                      std::none_of(staged_.begin(), staged_.end(),
+                                   [&](const std::shared_ptr<Op>& o) {
+                                     return o->desc.name == op->desc.name;
+                                   }),
                   << "duplicate unexecuted op: " << op->desc.name);
     op->seq = next_seq_++;
+    if (group_open_) {
+      // Invisible to the comm thread until the group closes.
+      op->group = last_group_;
+      staged_.push_back(op);
+      return Handle(op->state);
+    }
     submitted_.emplace(op->desc.name, op);
   }
   cv_.notify_all();
@@ -117,8 +129,52 @@ Handle NegotiatedScheduler::submit(OpDesc desc, std::function<void()> body) {
                 [fn = std::move(body)](int64_t) { fn(); });
 }
 
+NegotiatedScheduler::Group NegotiatedScheduler::open_group() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  EMBRACE_CHECK(!group_open_, << "an op group is already open");
+  group_open_ = true;
+  ++last_group_;
+  return Group(*this);
+}
+
+NegotiatedScheduler::Group::~Group() {
+  if (scheduler_ != nullptr) scheduler_->discard_group();
+}
+
+void NegotiatedScheduler::Group::close() {
+  EMBRACE_CHECK(scheduler_ != nullptr, << "op group closed twice");
+  std::exchange(scheduler_, nullptr)->close_group();
+}
+
+void NegotiatedScheduler::close_group() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    group_open_ = false;
+    // All members become visible in one critical section: a follower that
+    // finds the announced member finds the whole unit.
+    for (const auto& op : staged_) submitted_.emplace(op->desc.name, op);
+    staged_.clear();
+  }
+  cv_.notify_all();
+}
+
+void NegotiatedScheduler::discard_group() {
+  std::vector<std::shared_ptr<Op>> victims;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    group_open_ = false;
+    victims.swap(staged_);
+  }
+  for (const auto& op : victims) {
+    fail_op(op, std::make_exception_ptr(SchedulerError(
+                    "op abandoned: '" + op->desc.name +
+                    "' was in an op group that never closed")));
+  }
+}
+
 void NegotiatedScheduler::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
+  EMBRACE_CHECK(!group_open_, << "drain() inside an open op group");
   cv_.wait(lock, [&] {
     return submitted_.empty() || failed_ != nullptr ||
            abort_.load(std::memory_order_relaxed);
@@ -139,7 +195,12 @@ void NegotiatedScheduler::shutdown() {
 }
 
 void NegotiatedScheduler::abort() {
-  abort_.store(true, std::memory_order_relaxed);
+  {
+    // Set under the mutex: an idle comm thread that has just found its
+    // wait predicate false must not miss the wake-up, or the join hangs.
+    std::lock_guard<std::mutex> lock(mutex_);
+    abort_.store(true, std::memory_order_relaxed);
+  }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
   fail_all(std::make_exception_ptr(
@@ -154,9 +215,11 @@ void NegotiatedScheduler::fail_all(std::exception_ptr cause) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!failed_) failed_ = cause;
-    victims.reserve(submitted_.size());
+    victims.reserve(submitted_.size() + staged_.size());
     for (auto& [name, op] : submitted_) victims.push_back(op);
     submitted_.clear();
+    victims.insert(victims.end(), staged_.begin(), staged_.end());
+    staged_.clear();
     active_.reset();
   }
   const std::string why = describe(cause);
@@ -175,6 +238,8 @@ std::vector<ExecRecord> NegotiatedScheduler::records() const {
 
 void NegotiatedScheduler::announce(const std::string& name) {
   static_assert(sizeof(uint64_t) == 8);
+  static obs::Counter& announcements = obs::counter("sched.announcements");
+  if (name != kStopToken) announcements.increment();
   // One tagged message per peer; the tag is the per-rank announcement index
   // maintained implicitly by both sides walking the same sequence.
   for (int r = 1; r < control_.size(); ++r) {
@@ -299,6 +364,33 @@ bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
   return true;
 }
 
+bool NegotiatedScheduler::run_group(const std::shared_ptr<Op>& first) {
+  std::vector<std::shared_ptr<Op>> members;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [name, op] : submitted_) {
+      if (op->group == first->group) members.push_back(op);
+    }
+  }
+  std::sort(members.begin(), members.end(),
+            [](const std::shared_ptr<Op>& a, const std::shared_ptr<Op>& b) {
+              return a->desc.priority != b->desc.priority
+                         ? a->desc.priority < b->desc.priority
+                         : a->seq < b->seq;
+            });
+  EMBRACE_CHECK(members.front() == first,
+                << "op group announced as '" << first->desc.name
+                << "' starts with '" << members.front()->desc.name
+                << "' on rank " << control_.rank()
+                << ": ranks must submit matching groups");
+  for (const auto& op : members) {
+    while (op->next_slice < op->slices) {
+      if (!run_slice(op)) return false;
+    }
+  }
+  return true;
+}
+
 void NegotiatedScheduler::run() {
   const bool leader = control_.rank() == 0;
   // The comm thread inherits its rank's identity so its trace events land
@@ -320,8 +412,10 @@ void NegotiatedScheduler::run() {
             // shutdown with a drained queue: stop everyone.
             chosen = kStopToken;
           } else {
-            // Highest priority = smallest (priority, seq). Re-picked every
-            // quantum: this is the chunk-boundary preemption point.
+            // Highest priority = smallest (priority, seq). A group is
+            // picked through its most urgent member, which it runs first.
+            // A plain op is re-picked every quantum: this is the
+            // chunk-boundary preemption point.
             const Op* best = nullptr;
             for (const auto& [name, candidate] : submitted_) {
               if (best == nullptr ||
@@ -362,7 +456,7 @@ void NegotiatedScheduler::run() {
         op = submitted_.at(chosen);
       }
 
-      if (!run_slice(op)) return;
+      if (!(op->group != 0 ? run_group(op) : run_slice(op))) return;
       if (leader) {
         // Track the partially-executed op: if the next pick differs while
         // this op still has slices left, that pick is a preemption.
@@ -372,7 +466,8 @@ void NegotiatedScheduler::run() {
     }
   } catch (...) {
     // announce()/receive_announcement() threw — dead peer or control-link
-    // deadline. Everything pending is failed; waiters see the cause.
+    // deadline — or run_group() found mismatched groups across ranks.
+    // Everything pending is failed; waiters see the cause.
     fail_all(std::current_exception());
   }
 }

@@ -13,27 +13,35 @@
 // rank 0's readiness representative, and the announced order is identical
 // everywhere by construction.
 //
-// Chunk granularity (DESIGN.md §10). The negotiation unit is one slice:
-// the leader announces the chosen op once per quantum and re-picks the
-// most urgent op between quanta, so a high-priority op submitted while a
-// chunked transfer is in flight preempts it at the next chunk boundary —
-// on every rank, in the same place, because the announcement stream is the
-// execution order. All ranks must submit the same `slices` count for the
-// same op name. "sched.preemptions" counts switches away from a partially
-// executed op (leader only, so the process-global counter is not
-// multiplied by the world size).
+// Chunk granularity (DESIGN.md §10). For a plain op the negotiation unit
+// is one slice: the leader announces the chosen op once per quantum and
+// re-picks the most urgent op between quanta, so a high-priority op
+// submitted while a chunked transfer is in flight preempts it at the next
+// chunk boundary — on every rank, in the same place, because the
+// announcement stream is the execution order. All ranks must submit the
+// same `slices` count for the same op name. "sched.preemptions" counts
+// switches away from a partially executed op (leader only, so the
+// process-global counter is not multiplied by the world size).
+//
+// Op groups. Ops submitted while a Group is open form one negotiation
+// unit instead: the leader announces the whole unit once, and every rank
+// runs its members back to back, all slices of each. The trainer submits a
+// step's gradient ops as one group, so its control plane costs one
+// announcement per step phase rather than one per op and quantum. "sched.announcements" counts
+// announced units (leader only, stop token excluded).
 //
 // FIFO mode is the same machinery with priority = submission sequence.
 //
 // Failure propagation (DESIGN.md §8). An op body that throws (e.g. a
 // TimeoutError from a faulted collective) fails its own handle with the
 // original exception, fails every other pending handle fast with a
-// SchedulerError, and retires the comm thread — Handle::wait() rethrows
-// instead of hanging. A follower whose leader stops announcing while ops
-// are pending times out against the fabric's recv deadline and fails the
-// same way. abort() is the non-collective teardown for error paths: it
-// stops the comm thread without the stop-token negotiation (which would
-// need live peers) and fails all pending handles.
+// SchedulerError — the rest of its group included — and retires the comm
+// thread: Handle::wait() rethrows instead of hanging. A follower whose
+// leader stops announcing while ops are pending times out against the
+// fabric's recv deadline and fails the same way. abort() is the
+// non-collective teardown for error paths: it stops the comm thread
+// without the stop-token negotiation (which would need live peers) and
+// fails all pending handles, staged group members included.
 #pragma once
 
 #include <atomic>
@@ -77,10 +85,41 @@ class NegotiatedScheduler {
   // Whole-op convenience: one slice, body takes no index.
   Handle submit(OpDesc desc, std::function<void()> body);
 
+  // An open op group. Ops submitted while it is open (from any thread) get
+  // their Handle at once but stay invisible to the comm thread until
+  // close() publishes them together as one negotiation unit. The leader
+  // picks units by (lowest member priority, submission order) and
+  // announces each once, naming its first member; every rank then runs the
+  // members in (priority, submission) order, all slices of each, without
+  // re-picking in between — so members' priorities and submission order
+  // must agree across ranks. Each member keeps its own ExecRecord, trace
+  // span and Handle, and completes as soon as it finishes. Destroying a
+  // group that was not closed (an exception between open and close) fails
+  // its staged ops: a partial group is never published.
+  class Group {
+   public:
+    Group(const Group&) = delete;
+    Group& operator=(const Group&) = delete;
+    ~Group();
+    // Publishes the staged ops as one unit (none if nothing was staged, or
+    // if the scheduler failed meanwhile and already failed them).
+    void close();
+
+   private:
+    friend class NegotiatedScheduler;
+    explicit Group(NegotiatedScheduler& scheduler) : scheduler_(&scheduler) {}
+    NegotiatedScheduler* scheduler_;  // null once closed
+  };
+
+  // Opens a group. One group at a time: opening a second one before the
+  // first is closed or destroyed throws.
+  [[nodiscard]] Group open_group();
+
   // Blocks until every op submitted so far on this rank has executed.
   // Non-collective (the comm thread keeps serving announcements). Rethrows
   // the first op failure if the scheduler failed (the backlog is failed
-  // fast, so this cannot wedge on ops that will never run).
+  // fast, so this cannot wedge on ops that will never run). Throws inside
+  // an open group, whose staged ops cannot run before it closes.
   void drain();
 
   // Collective shutdown: blocks until every submitted op has executed, then
@@ -110,6 +149,12 @@ class NegotiatedScheduler {
   // Runs one quantum of `op` on the comm thread. Returns false if the
   // scheduler failed (the comm thread must retire).
   bool run_slice(const std::shared_ptr<Op>& op);
+  // Runs every slice of every member of the group `first` opened, in
+  // (priority, submission) order. Returns false if the scheduler failed.
+  bool run_group(const std::shared_ptr<Op>& first);
+  // Group::close() and the unclosed Group's destructor.
+  void close_group();
+  void discard_group();
   // Fails every pending handle and marks the scheduler failed. Records the
   // first failure cause. Caller must not hold mutex_.
   void fail_all(std::exception_ptr cause);
@@ -123,6 +168,10 @@ class NegotiatedScheduler {
   // Submitted, not fully executed (partially-run chunked ops stay here
   // until their final slice); keyed by name.
   std::unordered_map<std::string, std::shared_ptr<Op>> submitted_;
+  // Members of the open group, not yet visible to the comm thread.
+  std::vector<std::shared_ptr<Op>> staged_;
+  bool group_open_ = false;
+  uint64_t last_group_ = 0;  // id of the latest group; 0 marks a plain op
   uint64_t next_seq_ = 0;
   bool shutdown_requested_ = false;
   std::atomic<bool> abort_{false};

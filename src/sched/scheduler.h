@@ -9,7 +9,8 @@
 // in strictly increasing order, but between two quanta it is free to run
 // slices of other, more urgent ops — a late-arriving high-priority op
 // preempts an in-flight chunked transfer at a chunk boundary instead of
-// waiting behind the whole thing. Every preemption (switching away from a
+// waiting behind the whole thing. (A member of an op group runs all its
+// slices back to back; see NegotiatedScheduler::Group.) Every preemption (switching away from a
 // partially-executed op) bumps the "sched.preemptions" counter. Handles
 // complete when the final slice finishes; if any slice throws, the op fails
 // with that exception and the remaining slices never run.

@@ -1,10 +1,10 @@
 // Scheduler conformance suite: every test body runs on every rank of a
 // NegotiatedScheduler cluster at worlds 1 through 4 — typed OpDesc submit,
-// chunked slices, preemption at chunk boundaries, failure propagation,
-// drain, name reuse, and overlap with the training thread. At world 1 the
-// leader's own queue is the whole story; at worlds 2-4 followers execute
-// the leader's announced order, so each body's per-rank expectations also
-// pin that order. A final multi-rank test pins the preemption contract
+// chunked slices, preemption at chunk boundaries, op groups, failure
+// propagation, drain, name reuse, and overlap with the training thread.
+// At world 1 the leader's own queue is the whole story; at worlds 2-4
+// followers execute the leader's announced order, so each body's per-rank
+// expectations also pin that order. A final multi-rank test pins the preemption contract
 // where it matters: a chunked dense transfer through a 4-rank
 // NegotiatedScheduler interrupted by a high-priority op at a chunk
 // boundary, identically on every rank.
@@ -31,17 +31,25 @@ namespace embrace::sched {
 namespace {
 
 using RankBody = std::function<void(NegotiatedScheduler&)>;
+// A body that also sees its rank's communicator (rank, fabric counters).
+using CommBody =
+    std::function<void(NegotiatedScheduler&, comm::Communicator&)>;
 
 // Runs `body` on every rank of a GetParam()-rank cluster against that
 // rank's scheduler. The barrier lines the ranks up first, so timing-based
 // bodies measure from a common start.
 struct Conformance : ::testing::TestWithParam<int> {
   void run(const RankBody& body) const {
+    run(CommBody([&](NegotiatedScheduler& s, comm::Communicator&) {
+      body(s);
+    }));
+  }
+  void run(const CommBody& body) const {
     comm::Fabric fabric(GetParam());
     comm::run_cluster(fabric, [&](comm::Communicator& c) {
       NegotiatedScheduler scheduler(c.channel(0));
       c.channel(1).barrier();
-      body(scheduler);
+      body(scheduler, c);
       if (scheduler.failed()) {
         scheduler.abort();
       } else {
@@ -60,6 +68,15 @@ OpDesc desc(std::string name, double priority, OpKind kind = OpKind::kOther) {
 }
 
 int64_t preemptions() { return obs::counter("sched.preemptions").value(); }
+
+int64_t announcements() {
+  return obs::counter("sched.announcements").value();
+}
+
+// Polls until `flag` is set.
+void await(const std::atomic<bool>& flag) {
+  while (!flag) std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
 
 TEST_P(Conformance, TypedSubmitExecutesAndRecords) {
   run([](NegotiatedScheduler& s) {
@@ -177,6 +194,229 @@ TEST_P(Conformance, SliceFailureFailsOpAndBacklog) {
     EXPECT_TRUE(s.failed());
     EXPECT_THROW(s.submit(desc("late", 0.0), [] {}), SchedulerError);
     EXPECT_THROW(s.drain(), Error);
+  });
+}
+
+TEST_P(Conformance, GroupRunsMembersInPriorityOrderWithOwnRecords) {
+  run([](NegotiatedScheduler& s) {
+    std::vector<std::string> ran;
+    std::vector<int64_t> b_slices;
+    auto body = [&](std::string name) {
+      return [&ran, name = std::move(name)] { ran.push_back(name); };
+    };
+    std::vector<Handle> handles;
+    {
+      NegotiatedScheduler::Group group = s.open_group();
+      handles.push_back(s.submit(desc("c", 3.0), body("c")));
+      handles.push_back(s.submit(desc("a", 1.0), body("a")));
+      handles.push_back(s.submit(desc("b", 2.0), 3, [&](int64_t i) {
+        b_slices.push_back(i);
+        if (i == 2) ran.push_back("b");
+      }));
+      handles.push_back(s.submit(desc("a2", 1.0), body("a2")));
+      // Handles exist at once, but nothing runs before the group closes.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      for (const Handle& h : handles) {
+        EXPECT_TRUE(h.valid());
+        EXPECT_FALSE(h.done());
+      }
+      group.close();
+    }
+    for (const Handle& h : handles) h.wait();
+    s.drain();
+    // (priority, submission) order, every slice of each member.
+    EXPECT_EQ(ran, (std::vector<std::string>{"a", "a2", "b", "c"}));
+    EXPECT_EQ(b_slices, (std::vector<int64_t>{0, 1, 2}));
+    const auto records = s.records();
+    ASSERT_EQ(records.size(), 4u);
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].name, ran[i]);
+      EXPECT_LE(records[i].start, records[i].end);
+    }
+  });
+}
+
+TEST_P(Conformance, GroupIsAnnouncedOnce) {
+  const int64_t announced0 = announcements();
+  const int world = GetParam();
+  run(CommBody([world](NegotiatedScheduler& s, comm::Communicator& c) {
+    // Rank 0 is the leader, and the bodies send nothing themselves, so its
+    // sent messages are its announcements.
+    const auto sent = [&] { return c.fabric().traffic_from(0).messages; };
+    const int64_t sent0 = sent();
+    {
+      NegotiatedScheduler::Group group = s.open_group();
+      s.submit(desc("x", 1.0), [] {});
+      s.submit(desc("y", 2.0), 4, [](int64_t) {});
+      s.submit(desc("z", 3.0), [] {});
+      group.close();
+    }
+    s.drain();
+    const int64_t sent1 = sent();
+    // A plain chunked op is announced once per quantum.
+    s.submit(desc("plain", 1.0), 4, [](int64_t) {});
+    s.drain();
+    EXPECT_EQ(s.records().size(), 4u);
+    if (c.rank() == 0) {
+      EXPECT_EQ(sent1 - sent0, world - 1);
+      EXPECT_EQ(sent() - sent1, 4 * (world - 1));
+    }
+  }));
+  // Leader only, stop token excluded; nothing is announced at world 1.
+  EXPECT_EQ(announcements() - announced0, world > 1 ? 1 + 4 : 0);
+}
+
+TEST_P(Conformance, UrgentOpWaitsForRunningGroupButPreemptsPlainOp) {
+  const int64_t preempt0 = preemptions();
+  run([](NegotiatedScheduler& s) {
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    NegotiatedScheduler::Group group = s.open_group();
+    Handle g1 = s.submit(desc("g1", 10.0), 4, [&](int64_t i) {
+      if (i == 0) {
+        started = true;
+        await(release);
+      }
+    });
+    Handle g2 = s.submit(desc("g2", 11.0), [] {});
+    group.close();
+    // Submitted while g1's first slice runs: the group is one unit, so the
+    // urgent op waits for all of it.
+    await(started);
+    Handle hot = s.submit(desc("hot", 0.0), [] {});
+    release = true;
+    hot.wait();
+    EXPECT_TRUE(g1.done());
+    EXPECT_TRUE(g2.done());
+
+    // The same urgent op against a plain chunked op jumps in at the next
+    // chunk boundary.
+    started = false;
+    release = false;
+    Handle plain = s.submit(desc("plain", 10.0), 4, [&](int64_t i) {
+      if (i == 0) {
+        started = true;
+        await(release);
+      }
+    });
+    await(started);
+    Handle hot2 = s.submit(desc("hot2", 0.0), [] {});
+    release = true;
+    hot2.wait();
+    plain.wait();
+    s.drain();
+    std::vector<std::string> order;
+    for (const auto& r : s.records()) order.push_back(r.name);
+    EXPECT_EQ(order, (std::vector<std::string>{"g1", "g2", "hot", "hot2",
+                                               "plain"}));
+  });
+  // Only the plain op was split (counted by the leader only).
+  EXPECT_EQ(preemptions() - preempt0, 1);
+}
+
+TEST_P(Conformance, GroupMemberFailureFailsGroupAndBacklog) {
+  run([](NegotiatedScheduler& s) {
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    NegotiatedScheduler::Group group = s.open_group();
+    Handle first = s.submit(desc("first", 1.0), [&] {
+      started = true;
+      await(release);
+    });
+    Handle bad = s.submit(desc("bad", 2.0), [] { throw Error("boom"); });
+    Handle rest = s.submit(desc("rest", 3.0),
+                           [] { FAIL() << "must never run"; });
+    group.close();
+    // Park the comm thread in the first member so the backlog op is queued
+    // before the failure (no submit-vs-fail race).
+    await(started);
+    Handle behind = s.submit(desc("behind", 4.0),
+                             [] { FAIL() << "must never run"; });
+    release = true;
+    EXPECT_NO_THROW(first.wait());
+    EXPECT_THROW(
+        {
+          try {
+            bad.wait();
+          } catch (const SchedulerError&) {
+            ADD_FAILURE() << "the culprit keeps its own error";
+            throw;
+          } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
+            throw;
+          }
+        },
+        Error);
+    EXPECT_THROW(rest.wait(), SchedulerError);
+    EXPECT_THROW(behind.wait(), SchedulerError);
+    EXPECT_TRUE(s.failed());
+    ASSERT_EQ(s.records().size(), 1u);
+    EXPECT_EQ(s.records()[0].name, "first");
+  });
+}
+
+TEST_P(Conformance, UnclosedGroupFailsItsStagedOps) {
+  run([](NegotiatedScheduler& s) {
+    // A throw between open and close: the staged ops are failed, never
+    // published, and the scheduler stays usable (every rank discarded the
+    // same group).
+    std::vector<Handle> staged;
+    try {
+      NegotiatedScheduler::Group group = s.open_group();
+      staged.push_back(s.submit(desc("s1", 1.0),
+                                [] { FAIL() << "never published"; }));
+      staged.push_back(s.submit(desc("s2", 2.0), 3, [](int64_t) {
+        FAIL() << "never published";
+      }));
+      throw Error("before close");
+    } catch (const Error&) {
+    }
+    for (const Handle& h : staged) EXPECT_THROW(h.wait(), SchedulerError);
+    EXPECT_FALSE(s.failed());
+    Handle after = s.submit(desc("s1", 1.0), [] {});
+    after.wait();
+    s.drain();
+    ASSERT_EQ(s.records().size(), 1u);
+    EXPECT_EQ(s.records()[0].name, "s1");
+  });
+}
+
+TEST_P(Conformance, AbortFailsStagedGroupWithoutWedge) {
+  run([](NegotiatedScheduler& s) {
+    NegotiatedScheduler::Group group = s.open_group();
+    Handle a = s.submit(desc("a", 1.0), [] { FAIL() << "never published"; });
+    Handle b = s.submit(desc("b", 2.0), [] { FAIL() << "never published"; });
+    s.abort();
+    EXPECT_THROW(a.wait(), SchedulerError);
+    EXPECT_THROW(b.wait(), SchedulerError);
+    EXPECT_TRUE(s.failed());
+    EXPECT_THROW(s.submit(desc("c", 3.0), [] {}), SchedulerError);
+    group.close();  // nothing left to publish
+    EXPECT_TRUE(s.records().empty());
+  });
+}
+
+TEST_P(Conformance, GroupRejectsDuplicateNamesAndNesting) {
+  run([](NegotiatedScheduler& s) {
+    // Park the comm thread so "p" stays pending for the name checks.
+    std::atomic<bool> release{false};
+    Handle gate = s.submit(desc("gate", 0.0), [&] { await(release); });
+    Handle p = s.submit(desc("p", 1.0), [] {});
+    {
+      NegotiatedScheduler::Group group = s.open_group();
+      EXPECT_THROW(s.submit(desc("p", 2.0), [] {}), Error);  // pending
+      s.submit(desc("q", 2.0), [] {});
+      EXPECT_THROW(s.submit(desc("q", 3.0), [] {}), Error);  // staged
+      EXPECT_THROW((void)s.open_group(), Error);              // nested
+      EXPECT_THROW(s.drain(), Error);  // staged ops cannot run yet
+      group.close();
+      EXPECT_THROW(group.close(), Error);
+    }
+    EXPECT_THROW(s.submit(desc("q", 3.0), [] {}), Error);  // now pending
+    release = true;
+    s.drain();
+    EXPECT_TRUE(gate.done() && p.done());
+    EXPECT_EQ(s.records().size(), 3u);
   });
 }
 

@@ -263,6 +263,48 @@ TEST(Trainer, OneDenseOpPerStep) {
   }
 }
 
+TEST(Trainer, ControlTrafficPerStep) {
+  // A step's gradient ops are one op group, announced once, and the losses
+  // are averaged by one allgather after the run instead of an allreduce
+  // per step. So the leader announces one unit per step, plus the lookup
+  // for the strategies that run it as an op, and the only allreduces left
+  // are Horovod-AllGather's per-table density stats inside its op bodies.
+  constexpr int kWorkers = 4;
+  obs::Counter& announced = obs::counter("sched.announcements");
+  obs::Counter& allreduces = obs::counter("comm.calls{collective=allreduce}");
+  obs::Counter& allgathers = obs::counter("comm.calls{collective=allgather}");
+  for (int si = 0; si < 6; ++si) {
+    const auto s = static_cast<StrategyKind>(si);
+    TrainConfig cfg = base_config();
+    cfg.strategy = s;
+    if (needs_sgd(s)) cfg.optim = OptimKind::kSgd;
+    cfg.num_tables = 2;
+    cfg.min_sentence_len = 4;
+    cfg.steps = 4;
+    const auto oracle = run_oracle(cfg, kWorkers);
+    const bool lookup_op = s == StrategyKind::kEmbRace ||
+                           s == StrategyKind::kEmbRaceNoVss;
+    const int64_t stats_allreduces =
+        s == StrategyKind::kHorovodAllGather
+            ? int64_t{kWorkers} * cfg.steps * cfg.num_tables
+            : 0;
+    for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+      cfg.chunk_bytes = chunk;
+      SCOPED_TRACE(std::string(strategy_kind_name(s)) +
+                   " chunk=" + std::to_string(chunk));
+      const int64_t announced0 = announced.value();
+      const int64_t allreduces0 = allreduces.value();
+      const int64_t allgathers0 = allgathers.value();
+      const auto dist = run_distributed(cfg, kWorkers);
+      EXPECT_EQ(announced.value() - announced0,
+                int64_t{cfg.steps} * (lookup_op ? 2 : 1));
+      EXPECT_EQ(allreduces.value() - allreduces0, stats_allreduces);
+      EXPECT_EQ(allgathers.value() - allgathers0, kWorkers);
+      expect_losses_close(dist.losses, oracle.losses, 2e-3f);
+    }
+  }
+}
+
 TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
