@@ -64,8 +64,7 @@ int positive_arg(const char* text, const char* what) {
   return v;
 }
 
-// Step index from a scheduler op name ("prior/s3" or "embgrad/s3/t1" -> 3),
-// or -1.
+// Step index from a scheduler op name ("prior/s3" -> 3), or -1.
 int step_of(const std::string& name) {
   const size_t pos = name.find("/s");
   if (pos == std::string::npos) return -1;

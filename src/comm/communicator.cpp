@@ -354,31 +354,6 @@ void Communicator::allreduce(std::span<float> data, ReduceOp op) {
   }
 }
 
-void Communicator::reduce(std::span<float> data, int root, ReduceOp op) {
-  EMBRACE_COLLECTIVE_PROLOGUE(
-      "reduce", static_cast<int64_t>(data.size() * sizeof(float)));
-  // Binomial tree toward `root` (ranks relabeled relative to root):
-  // at round k, vranks with bit k set send their partial sum to vrank-2^k.
-  const int n = size();
-  const int vrank = (rank_ - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    const uint64_t tag = next_tag();
-    if ((vrank & mask) != 0) {
-      const int peer = ((vrank - mask) + root) % n;
-      send_float_block(peer, tag, data);
-      // This rank's contribution is merged upstream; it stops participating.
-      while ((mask <<= 1) < n) (void)next_tag();  // keep tag seq aligned
-      return;
-    }
-    if (vrank + mask < n) {
-      const int peer = ((vrank + mask) + root) % n;
-      recv_reduce_block(peer, tag, data, op);
-    }
-    mask <<= 1;
-  }
-}
-
 std::vector<Bytes> Communicator::gatherv(const Bytes& mine, int root) {
   EMBRACE_COLLECTIVE_PROLOGUE("gatherv", static_cast<int64_t>(mine.size()));
   const int n = size();

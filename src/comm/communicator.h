@@ -126,11 +126,6 @@ class Communicator {
   // payloads indexed by source rank. send.size() must equal size().
   std::vector<Bytes> alltoallv(std::vector<Bytes> send);
 
-  // Reduce to `root`: after the call, root's `data` holds the elementwise
-  // reduction over all ranks (binomial tree); other ranks' buffers are
-  // clobbered with partial sums.
-  void reduce(std::span<float> data, int root, ReduceOp op = ReduceOp::kSum);
-
   // Gather of variable-size byte payloads to `root`. Returns one payload
   // per rank on the root, an empty vector elsewhere.
   std::vector<Bytes> gatherv(const Bytes& mine, int root);

@@ -36,6 +36,21 @@ std::string op_name(const char* kind, int step) {
   return std::string(kind) + "/s" + std::to_string(step);
 }
 
+// Byte estimates of an op that carries every table's gradient: in the
+// sparse wire format, or densified.
+int64_t packed_bytes(std::span<const SparseRows> grads) {
+  int64_t bytes = 0;
+  for (const SparseRows& g : grads) {
+    bytes += static_cast<int64_t>(g.packed_byte_size());
+  }
+  return bytes;
+}
+int64_t dense_bytes(std::span<const SparseRows> grads) {
+  int64_t bytes = 0;
+  for (const SparseRows& g : grads) bytes += g.dense_byte_size();
+  return bytes;
+}
+
 // Table t's initial parameters come from the deterministic substream
 // split(t) of the seed's stream — identical across ranks, strategies and
 // the oracle.
@@ -92,26 +107,26 @@ class HybridSync : public EmbeddingSync {
     return handles;
   }
 
-  // Hot-row cache sync/refresh, one op per cached table. Submitted last so
-  // FIFO strategies run it after the step's gradient exchanges; the
-  // priority strategies get the same guarantee from Priorities::hotsync.
-  // The handle is deliberately dropped, like the delayed op's: the
-  // scheduler's rank-agreed order already places hotsync(s) before every
-  // op of step s+1, and shutdown drains the tail.
+  // Hot-row cache sync/refresh: one op per step that syncs every table's
+  // cache in table order. Submitted last so FIFO strategies run it after
+  // the step's gradient exchanges; the priority strategies get the same
+  // guarantee from Priorities::hotsync. The handle is deliberately dropped,
+  // like the delayed op's: the scheduler's rank-agreed order already places
+  // hotsync(s) before every op of step s+1, and shutdown drains the tail.
   void step_end(int step) override {
-    for (int t = 0; t < tables(); ++t) {
-      if (caches_[t] == nullptr) continue;
-      // Bytes are the budget-rows ceiling, not hot_count(): cache state
-      // belongs to the comm thread, and the previous step's hotsync may
-      // still be mutating it while this thread submits.
-      ctx_.submit("hotsync", step, t, Priorities::hotsync(step, t),
-                  cache_budget_ * ctx_.cfg.dim *
-                      static_cast<int64_t>(sizeof(float)),
-                  sched::OpKind::kOther, [this, t] {
-                    caches_[t]->step_end(ctx_.comm_ch, ctx_.dense_codec.get(),
-                                         &*cache_picker_);
-                  });
-    }
+    if (cache_budget_ <= 0) return;
+    // Bytes are the budget-rows ceiling, not hot_count(): cache state
+    // belongs to the comm thread, and the previous step's hotsync may still
+    // be mutating it while this thread submits.
+    ctx_.submit("hotsync", step, Priorities::hotsync(step),
+                tables() * cache_budget_ * ctx_.cfg.dim *
+                    static_cast<int64_t>(sizeof(float)),
+                sched::OpKind::kOther, [this] {
+                  for (const auto& cache : caches_) {
+                    cache->step_end(ctx_.comm_ch, ctx_.dense_codec.get(),
+                                    &*cache_picker_);
+                  }
+                });
   }
 
  protected:
@@ -169,7 +184,7 @@ class HybridSync : public EmbeddingSync {
   std::vector<const comm::Codec*> prepare_codecs(
       std::vector<SparseRows>& grads) {
     std::vector<const comm::Codec*> codecs =
-        ctx_.choose_codecs(ctx_.main_ch, 0, grads);
+        ctx_.choose_codecs(ctx_.main_ch, grads);
     for (int t = 0; t < tables(); ++t) {
       ctx_.apply_sparse_ef(t, grads[t], codecs[t]);
     }
@@ -224,10 +239,7 @@ class NoVssSync final : public HybridSync {
   void exchange_grad(int step, std::vector<SparseRows> grads,
                      std::vector<sched::Handle>& handles) override {
     // The op's byte estimate is the gradient before error feedback.
-    int64_t bytes = 0;
-    for (const SparseRows& g : grads) {
-      bytes += static_cast<int64_t>(g.packed_byte_size());
-    }
+    const int64_t bytes = packed_bytes(grads);
     // Codec choice + error feedback happen here on the main thread; the
     // wire work runs on the comm thread. No VSS -> no coalescing pass: the
     // uncoalesced gradient goes on the wire; the shard coalesces before
@@ -283,26 +295,10 @@ class EmbRaceSync final : public HybridSync {
   }
 };
 
-// The Horovod and PS strategies exchange each table's gradient as its own
-// op, "embgrad/s<step>/t<t>".
-class PerTableSync : public EmbeddingSync {
- public:
-  void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) final {
-    for (size_t t = 0; t < grads.size(); ++t) {
-      exchange_table(step, static_cast<int>(t), std::move(grads[t]), handles);
-    }
-  }
-
- protected:
-  virtual void exchange_table(int step, int t, SparseRows grad,
-                              std::vector<sched::Handle>& handles) = 0;
-};
-
-// Full replicas on every rank: the lookup is a local forward, and the
-// gradient is aggregated on the comm thread, which also applies the
-// codec and error feedback inside the op body.
-class ReplicatedSync : public PerTableSync {
+// Full replicas on every rank: the lookup is a local forward, and one
+// "embgrad" op per step aggregates every table's gradient on the comm
+// thread, codec and error feedback included, and applies it.
+class ReplicatedSync : public EmbeddingSync {
  public:
   bool prioritized() const override { return false; }
 
@@ -333,109 +329,130 @@ class ReplicatedSync : public PerTableSync {
 };
 
 // Horovod with the embedding gradient aggregated in dense format by ring
-// AllReduce.
+// AllReduce, one ring per table.
 class HorovodAllReduceSync final : public ReplicatedSync {
  public:
   explicit HorovodAllReduceSync(SyncContext& ctx) : ReplicatedSync(ctx) {}
 
-  void exchange_table(int step, int t, SparseRows grad,
-                      std::vector<sched::Handle>& handles) override {
-    const int64_t bytes = grad.dense_byte_size();
+  void exchange_grad(int step, std::vector<SparseRows> grads,
+                     std::vector<sched::Handle>& handles) override {
+    const int64_t bytes = dense_bytes(grads);
     handles.push_back(ctx_.submit(
-        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        "embgrad", step, Priorities::prior(step), bytes,
         sched::OpKind::kOther,
-        [this, t, grad = std::move(grad)] {
-          // Dense-format aggregation of the (sparse) gradient, with the
-          // wire codec on the ring when one is configured (error feedback
-          // first, on the sparse form).
-          const comm::Codec* codec =
-              ctx_.choose_codecs(ctx_.comm_ch, t, std::span(&grad, 1))[0];
-          SparseRows g = grad;
-          ctx_.apply_sparse_ef(t, g, codec);
-          Tensor dense = g.to_dense();
-          comm::allreduce_chunked(ctx_.comm_ch, dense.flat(),
-                                  ctx_.cfg.chunk_bytes, comm::ReduceOp::kSum,
-                                  codec);
-          // `grad` holds this rank's uncoalesced batch ids.
-          const auto rows = unique_sorted(flatten(
-              PartitionedEmbedding::allgather_ids(ctx_.comm_ch,
-                                                  grad.indices())));
-          opts_[t]->apply(replicas_[t]->table(),
-                          SparseRows::gather(dense, rows),
-                          nn::SparseStep::kFull);
-        }));
+        [this, grads = std::move(grads)] { reduce(grads); }));
+  }
+
+ private:
+  // The op body, on the comm thread.
+  void reduce(const std::vector<SparseRows>& grads) {
+    const std::vector<const comm::Codec*> codecs =
+        ctx_.choose_codecs(ctx_.comm_ch, grads);
+    // Every table's touched rows in one gather: `grads` hold this rank's
+    // uncoalesced batch ids.
+    std::vector<std::vector<int64_t>> ids;
+    ids.reserve(grads.size());
+    for (const SparseRows& g : grads) ids.push_back(g.indices());
+    const auto all_ids = PartitionedEmbedding::allgather_ids(
+        ctx_.comm_ch, ids, ctx_.cfg.vocab);
+    for (size_t t = 0; t < grads.size(); ++t) {
+      // Dense-format aggregation of the (sparse) gradient, with the wire
+      // codec on the ring when one is configured (error feedback first, on
+      // the sparse form).
+      SparseRows g = grads[t];
+      ctx_.apply_sparse_ef(static_cast<int>(t), g, codecs[t]);
+      Tensor dense = g.to_dense();
+      comm::allreduce_chunked(ctx_.comm_ch, dense.flat(),
+                              ctx_.cfg.chunk_bytes, comm::ReduceOp::kSum,
+                              codecs[t]);
+      opts_[t]->apply(
+          replicas_[t]->table(),
+          SparseRows::gather(dense, unique_sorted(flatten(all_ids[t]))),
+          nn::SparseStep::kFull);
+    }
   }
 };
 
 // Horovod with sparse AllReduce of the embedding gradient; an AlgoPicker
-// chooses the algorithm per op (DESIGN.md §12).
+// chooses the algorithm per table (DESIGN.md §12).
 class HorovodAllGatherSync final : public ReplicatedSync {
  public:
   explicit HorovodAllGatherSync(SyncContext& ctx)
       : ReplicatedSync(ctx), algo_picker_(cost_params(ctx.cfg),
                                           ctx.cfg.chunk_bytes) {}
 
-  void exchange_table(int step, int t, SparseRows grad,
-                      std::vector<sched::Handle>& handles) override {
-    const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
+  void exchange_grad(int step, std::vector<SparseRows> grads,
+                     std::vector<sched::Handle>& handles) override {
+    const int64_t bytes = packed_bytes(grads);
     handles.push_back(ctx_.submit(
-        "embgrad", step, t, Priorities::prior(step, t), bytes,
+        "embgrad", step, Priorities::prior(step), bytes,
         sched::OpKind::kOther,
-        [this, t, grad = std::move(grad)] {
-          // Rank-agreed decision inputs in ONE allreduce: per-rank
-          // distinct-row density d_r (their mean prices per-rank
-          // payloads), Σ log1p(−d_r) (the union density the merged result
-          // actually occupies — feeding the mean alone mispriced the
-          // dense-ring crossover by up to workers× for disjoint hot sets),
-          // and the |grad| mass for the codec policy. Every rank then makes
-          // the same (codec, format, algorithm) decision.
-          const double d = grad.row_density();
-          float sum_abs = 0.0f;
-          for (float v : grad.values().flat()) sum_abs += std::fabs(v);
-          std::vector<float> stats{
-              static_cast<float>(d), static_cast<float>(std::log1p(-d)),
-              sum_abs, static_cast<float>(grad.values().flat().size())};
-          ctx_.comm_ch.allreduce(stats);
-          const sparse::DensityEstimate est =
-              sparse::DensityEstimate::from_allreduced(
-                  static_cast<double>(stats[0]),
-                  static_cast<double>(stats[1]), ctx_.workers);
-          const comm::Codec* codec = nullptr;
-          if (ctx_.codec_policy.has_value()) {
-            const double mean_abs =
-                stats[3] > 0.0f ? static_cast<double>(stats[2]) /
-                                      static_cast<double>(stats[3])
-                                : 0.0;
-            codec = ctx_.codec_policy->choose(t, mean_abs);
-            algo_picker_.set_codec_cost(
-                codec != nullptr ? comm::codec_wire_bytes_per_value(*codec)
-                                 : 4.0);
-          }
-          const sparse::AlgoChoice choice = algo_picker_.choose(
-              est, ctx_.cfg.vocab, ctx_.cfg.dim, ctx_.workers);
-          SparseRows g = grad;
-          ctx_.apply_sparse_ef(t, g, codec);
-          SparseRows total =
-              ctx_.grp != nullptr
-                  ? comm::sparse_allreduce(*ctx_.grp, g, choice.algo,
-                                           choice.chunk_bytes, codec)
-                  : comm::sparse_allreduce(ctx_.comm_ch, g, choice.algo,
-                                           choice.chunk_bytes, codec);
-          sparse::AlgoPicker::record(
-              choice, static_cast<int64_t>(g.packed_byte_size()));
-          opts_[t]->apply(replicas_[t]->table(), total.coalesced(),
-                          nn::SparseStep::kFull);
-        }));
+        [this, grads = std::move(grads)] { reduce(grads); }));
   }
 
  private:
+  // The op body, on the comm thread.
+  void reduce(const std::vector<SparseRows>& grads) {
+    // Rank-agreed decision inputs for every table in ONE allreduce, four
+    // floats per table: per-rank distinct-row density d_r (their mean
+    // prices per-rank payloads), Σ log1p(−d_r) (the union density the
+    // merged result actually occupies — feeding the mean alone mispriced
+    // the dense-ring crossover by up to workers× for disjoint hot sets),
+    // and the |grad| mass for the codec policy. Every rank then makes the
+    // same (codec, format, algorithm) decision per table.
+    std::vector<float> stats;
+    stats.reserve(4 * grads.size());
+    for (const SparseRows& g : grads) {
+      const double d = g.row_density();
+      float sum_abs = 0.0f;
+      for (float v : g.values().flat()) sum_abs += std::fabs(v);
+      stats.insert(stats.end(),
+                   {static_cast<float>(d), static_cast<float>(std::log1p(-d)),
+                    sum_abs, static_cast<float>(g.values().flat().size())});
+    }
+    ctx_.comm_ch.allreduce(stats);
+    for (size_t t = 0; t < grads.size(); ++t) {
+      const float* st = &stats[4 * t];
+      const sparse::DensityEstimate est =
+          sparse::DensityEstimate::from_allreduced(
+              static_cast<double>(st[0]), static_cast<double>(st[1]),
+              ctx_.workers);
+      const comm::Codec* codec = nullptr;
+      if (ctx_.codec_policy.has_value()) {
+        const double mean_abs =
+            st[3] > 0.0f
+                ? static_cast<double>(st[2]) / static_cast<double>(st[3])
+                : 0.0;
+        codec = ctx_.codec_policy->choose(static_cast<int>(t), mean_abs);
+        algo_picker_.set_codec_cost(
+            codec != nullptr ? comm::codec_wire_bytes_per_value(*codec)
+                             : 4.0);
+      }
+      const sparse::AlgoChoice choice = algo_picker_.choose(
+          est, ctx_.cfg.vocab, ctx_.cfg.dim, ctx_.workers);
+      SparseRows g = grads[t];
+      ctx_.apply_sparse_ef(static_cast<int>(t), g, codec);
+      SparseRows total =
+          ctx_.grp != nullptr
+              ? comm::sparse_allreduce(*ctx_.grp, g, choice.algo,
+                                       choice.chunk_bytes, codec)
+              : comm::sparse_allreduce(ctx_.comm_ch, g, choice.algo,
+                                       choice.chunk_bytes, codec);
+      sparse::AlgoPicker::record(choice,
+                                 static_cast<int64_t>(g.packed_byte_size()));
+      opts_[t]->apply(replicas_[t]->table(), total.coalesced(),
+                      nn::SparseStep::kFull);
+    }
+  }
+
   sparse::AlgoPicker algo_picker_;
 };
 
 // Embedding tables on shared parameter servers (make_param_servers): the
-// lookup pulls rows, the gradient is pushed on the comm thread, and the
-// server applies SGD. The codec knob does not apply.
-class PsSync : public PerTableSync {
+// lookup pulls rows, and one "embgrad" op per step pushes each table's
+// gradient to its own server, in table order; the server applies SGD. The
+// codec knob does not apply.
+class PsSync : public EmbeddingSync {
  public:
   std::vector<sched::Handle> lookup(int /*step*/, const Segmented& seg,
                                     const Segmented& /*seg_next*/,
@@ -458,13 +475,16 @@ class ParallaxSync final : public PsSync {
   explicit ParallaxSync(SyncContext& ctx) : PsSync(ctx) {}
   bool prioritized() const override { return false; }
 
-  void exchange_table(int step, int t, SparseRows grad,
-                      std::vector<sched::Handle>& handles) override {
-    const auto bytes = static_cast<int64_t>(grad.packed_byte_size());
+  void exchange_grad(int step, std::vector<SparseRows> grads,
+                     std::vector<sched::Handle>& handles) override {
+    const int64_t bytes = packed_bytes(grads);
     handles.push_back(ctx_.submit(
-        "embgrad", step, t, Priorities::prior(step, t), bytes,
-        sched::OpKind::kOther,
-        [this, t, grad = std::move(grad)] { ctx_.ps[t]->push_sparse(grad); }));
+        "embgrad", step, Priorities::prior(step), bytes,
+        sched::OpKind::kOther, [this, grads = std::move(grads)] {
+          for (size_t t = 0; t < grads.size(); ++t) {
+            ctx_.ps[t]->push_sparse(grads[t]);
+          }
+        }));
   }
 };
 
@@ -474,16 +494,17 @@ class BytePsSync final : public PsSync {
   explicit BytePsSync(SyncContext& ctx) : PsSync(ctx) {}
   bool prioritized() const override { return true; }
 
-  void exchange_table(int step, int t, SparseRows grad,
-                      std::vector<sched::Handle>& handles) override {
+  void exchange_grad(int step, std::vector<SparseRows> grads,
+                     std::vector<sched::Handle>& handles) override {
     // The embedding is what the next FP needs first, so its push jumps the
     // dense-block queue.
-    const int64_t bytes = grad.dense_byte_size();
+    const int64_t bytes = dense_bytes(grads);
     handles.push_back(ctx_.submit(
-        "embgrad", step, t, Priorities::prior(step, t), bytes,
-        sched::OpKind::kSparsePrior,
-        [this, t, grad = std::move(grad)] {
-          ctx_.ps[t]->push_dense(grad.to_dense());
+        "embgrad", step, Priorities::prior(step), bytes,
+        sched::OpKind::kSparsePrior, [this, grads = std::move(grads)] {
+          for (size_t t = 0; t < grads.size(); ++t) {
+            ctx_.ps[t]->push_dense(grads[t].to_dense());
+          }
         }));
   }
 };
@@ -558,8 +579,7 @@ void SyncContext::enable_codec() {
 }
 
 std::vector<const comm::Codec*> SyncContext::choose_codecs(
-    comm::Communicator& ch, int first_table,
-    std::span<const SparseRows> grads) const {
+    comm::Communicator& ch, std::span<const SparseRows> grads) const {
   std::vector<const comm::Codec*> codecs(grads.size(), nullptr);
   if (!codec_policy.has_value()) return codecs;
   // {sum |g|, count} per table, rank-agreed in one allreduce.
@@ -576,8 +596,7 @@ std::vector<const comm::Codec*> SyncContext::choose_codecs(
         mass[2 * i + 1] > 0.0f ? static_cast<double>(mass[2 * i]) /
                                      static_cast<double>(mass[2 * i + 1])
                                : 0.0;
-    codecs[i] =
-        codec_policy->choose(first_table + static_cast<int>(i), mean_abs);
+    codecs[i] = codec_policy->choose(static_cast<int>(i), mean_abs);
   }
   return codecs;
 }
@@ -590,18 +609,6 @@ sched::Handle SyncContext::submit(const char* kind, int step, double priority,
                            .bytes = bytes,
                            .kind = op_kind},
                           std::move(body));
-}
-
-sched::Handle SyncContext::submit(const char* kind, int step, int t,
-                                  double priority, int64_t bytes,
-                                  sched::OpKind op_kind,
-                                  std::function<void()> body) {
-  return scheduler.submit(
-      {.name = op_name(kind, step) + "/t" + std::to_string(t),
-       .priority = prio(priority),
-       .bytes = bytes,
-       .kind = op_kind},
-      std::move(body));
 }
 
 void SyncContext::apply_sparse_ef(int t, SparseRows& g,

@@ -31,23 +31,18 @@ namespace embrace::core {
 // Step-scoped priorities: ops of step s always precede ops of step s+1 in
 // the priority order (required for the modified Adam's prior/delayed
 // sequencing); within a step the 2D order is prior < embdata < dense <
-// delayed. The hybrid strategies run one op per kind per step with every
-// table inside it; `table` orders the per-table ops of the Horovod and PS
-// strategies.
+// delayed. Every strategy runs at most one op per kind per step, with every
+// table inside it.
 struct Priorities {
   static double base(int step) { return 1e6 * step; }
-  static double prior(int step, int table = 0) {
-    return base(step) + 0.01 * table;
-  }
+  static double prior(int step) { return base(step); }
   static double embdata(int step) { return base(step) + 1; }
   static double dense(int step) { return base(step) + 10; }
   static double delayed(int step) { return base(step) + 1e5; }
   // Hot-row cache sync/refresh: strictly after every gradient op of step s
   // (the pending buffer must hold the full step's hot gradients) and before
   // every op of step s+1 (the next lookups read the synced replica).
-  static double hotsync(int step, int table) {
-    return base(step) + 2e5 + table;
-  }
+  static double hotsync(int step) { return base(step) + 2e5; }
 };
 
 // Sentence segmentation for multi-table models: table t embeds columns
@@ -103,24 +98,19 @@ struct SyncContext {
   double prio(double v) {
     return prioritized ? v : static_cast<double>(fifo_seq++);
   }
-  // Submits the op "<kind>/s<step>" (one op carrying every table), or
-  // table t's op "<kind>/s<step>/t<t>", at priority prio(priority).
+  // Submits the op "<kind>/s<step>", which carries every table, at
+  // priority prio(priority).
   sched::Handle submit(const char* kind, int step, double priority,
                        int64_t bytes, sched::OpKind op_kind,
                        std::function<void()> body);
-  sched::Handle submit(const char* kind, int step, int t, double priority,
-                       int64_t bytes, sched::OpKind op_kind,
-                       std::function<void()> body);
   void enable_codec();
-  // The per-op codec of each sparse gradient in `grads`, which are tables
-  // first_table, first_table + 1, .... Adaptive mode needs each table's
-  // rank-agreed mean |grad|, so it costs ONE tiny allreduce of every
-  // table's {sum |g|, count} on `ch` (the channel the caller is allowed to
-  // block on: main_ch from the issue scope, comm_ch from an op body);
-  // fixed modes are pure local.
+  // The per-op codec of each table's sparse gradient, grads[t]. Adaptive
+  // mode needs each table's rank-agreed mean |grad|, so it costs ONE tiny
+  // allreduce of every table's {sum |g|, count} on `ch` (the channel the
+  // caller is allowed to block on: main_ch from the issue scope, comm_ch
+  // from an op body); fixed modes are pure local.
   std::vector<const comm::Codec*> choose_codecs(
-      comm::Communicator& ch, int first_table,
-      std::span<const SparseRows> grads) const;
+      comm::Communicator& ch, std::span<const SparseRows> grads) const;
   // Folds table t's error-feedback residual into `g` ahead of a lossy
   // encode, coalescing first so the residual stays row-aligned. A no-op
   // without a lossy codec.

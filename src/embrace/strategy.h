@@ -83,9 +83,9 @@ struct TrainConfig {
   // contiguous segments and segment t is embedded by table t — the
   // functional analogue of GNMT/Transformer's separate encoder/decoder
   // embeddings. Every table keeps its own shard, optimizer, codec and
-  // cache. The hybrid strategies carry all tables in one op per kind and
-  // step (one embdata / prior / delayed AlltoAllv under EmbRace); the
-  // Horovod and PS strategies run one gradient op per table.
+  // cache. Every strategy carries all tables in one op per kind and step
+  // (one embdata / prior / delayed AlltoAllv under EmbRace, one embgrad op
+  // under the Horovod and PS strategies).
   int num_tables = 1;
 
   OptimKind optim = OptimKind::kAdam;

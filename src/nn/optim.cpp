@@ -10,7 +10,7 @@ namespace embrace::nn {
 
 void Sgd::step() {
   for (Parameter* p : params_) {
-    p->value.add_scaled_(p->grad, -lr_ * lr_scale_);
+    p->value.add_scaled_(p->grad, -lr_);
     p->zero_grad();
   }
 }
@@ -28,7 +28,7 @@ void Adagrad::step() {
     auto w = p->value.flat();
     for (size_t k = 0; k < g.size(); ++k) {
       a[k] += g[k] * g[k];
-      w[k] -= lr_ * lr_scale_ * g[k] / (std::sqrt(a[k]) + eps_);
+      w[k] -= lr_ * g[k] / (std::sqrt(a[k]) + eps_);
     }
     p->zero_grad();
   }
@@ -59,7 +59,7 @@ void Adam::step() {
       v[k] = beta2_ * v[k] + (1.0f - beta2_) * g[k] * g[k];
       const float mhat = m[k] / bc1;
       const float vhat = v[k] / bc2;
-      w[k] -= lr_ * lr_scale_ * mhat / (std::sqrt(vhat) + eps_);
+      w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
     p->zero_grad();
   }
@@ -113,7 +113,7 @@ void SparseSgd::apply(Tensor& table, const SparseRows& grad, SparseStep mode) {
   for (int64_t k = 0; k < grad.nnz_rows(); ++k) {
     auto g = grad.values().row(k);
     auto w = table.row(grad.indices()[static_cast<size_t>(k)]);
-    for (size_t c = 0; c < g.size(); ++c) w[c] -= lr_ * lr_scale_ * g[c];
+    for (size_t c = 0; c < g.size(); ++c) w[c] -= lr_ * g[c];
   }
 }
 
@@ -132,7 +132,7 @@ void SparseAdagrad::apply(Tensor& table, const SparseRows& grad,
     auto w = table.row(row);
     for (size_t c = 0; c < g.size(); ++c) {
       a[c] += g[c] * g[c];
-      w[c] -= lr_ * lr_scale_ * g[c] / (std::sqrt(a[c]) + eps_);
+      w[c] -= lr_ * g[c] / (std::sqrt(a[c]) + eps_);
     }
   }
 }
@@ -182,7 +182,7 @@ void SparseAdam::apply(Tensor& table, const SparseRows& grad,
       v[c] = beta2_ * v[c] + (1.0f - beta2_) * g[c] * g[c];
       const float mhat = m[c] / bc1;
       const float vhat = v[c] / bc2;
-      w[c] -= lr_ * lr_scale_ * mhat / (std::sqrt(vhat) + eps_);
+      w[c] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }

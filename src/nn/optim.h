@@ -32,13 +32,8 @@ class DenseOptimizer {
   // Applies accumulated grads and zeroes them.
   virtual void step() = 0;
 
-  // Multiplier on the base learning rate (driven by an LrSchedule).
-  void set_lr_scale(float scale) { lr_scale_ = scale; }
-  float lr_scale() const { return lr_scale_; }
-
  protected:
   std::vector<Parameter*> params_;
-  float lr_scale_ = 1.0f;
 };
 
 class Sgd : public DenseOptimizer {
@@ -90,12 +85,6 @@ class SparseOptimizer {
  public:
   virtual ~SparseOptimizer() = default;
 
-  // Multiplier on the base learning rate (driven by an LrSchedule). For the
-  // EmbRace split update, set the SAME scale for the prior and delayed
-  // applications of a step (both belong to that step's update).
-  void set_lr_scale(float scale) { lr_scale_ = scale; }
-  float lr_scale() const { return lr_scale_; }
-
   // `grad` must be coalesced (disjoint row updates are what makes the
   // two-part application exact). `table` is the (rows × dim) parameter.
   virtual void apply(Tensor& table, const SparseRows& grad,
@@ -117,9 +106,6 @@ class SparseOptimizer {
   // `slot` of `row`.
   virtual void import_state(int slot, int64_t row, int64_t col_begin,
                             std::span<const float> src);
-
- protected:
-  float lr_scale_ = 1.0f;
 };
 
 class SparseSgd : public SparseOptimizer {

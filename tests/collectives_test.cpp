@@ -237,48 +237,6 @@ TEST_P(CollectivesP, RepeatedCollectivesKeepTagDiscipline) {
 }
 
 
-TEST_P(CollectivesP, ReduceToEveryRoot) {
-  constexpr int64_t kLen = 9;
-  for (int root = 0; root < n(); ++root) {
-    run_cluster(n(), [&](Communicator& comm) {
-      std::vector<float> data(kLen);
-      for (int64_t i = 0; i < kLen; ++i) {
-        data[i] = static_cast<float>(comm.rank() + i);
-      }
-      comm.reduce(data, root);
-      if (comm.rank() == root) {
-        const float rank_sum = static_cast<float>(n() * (n() - 1)) / 2.0f;
-        for (int64_t i = 0; i < kLen; ++i) {
-          ASSERT_FLOAT_EQ(data[i], rank_sum + static_cast<float>(n()) * i)
-              << "root " << root;
-        }
-      }
-    });
-  }
-}
-
-TEST_P(CollectivesP, ReduceMaxToRoot) {
-  run_cluster(n(), [&](Communicator& comm) {
-    std::vector<float> data{static_cast<float>(comm.rank())};
-    comm.reduce(data, 0, ReduceOp::kMax);
-    if (comm.rank() == 0) {
-      ASSERT_FLOAT_EQ(data[0], static_cast<float>(n() - 1));
-    }
-  });
-}
-
-TEST_P(CollectivesP, ReduceKeepsTagDisciplineAcrossCalls) {
-  // A reduce followed by an allreduce must not cross-talk even though
-  // non-root ranks exit the reduce early.
-  run_cluster(n(), [&](Communicator& comm) {
-    std::vector<float> a{1.0f};
-    comm.reduce(a, n() - 1);
-    std::vector<float> b{2.0f};
-    comm.allreduce(b);
-    ASSERT_FLOAT_EQ(b[0], 2.0f * n());
-  });
-}
-
 TEST_P(CollectivesP, GathervCollectsAtRoot) {
   run_cluster(n(), [&](Communicator& comm) {
     Bytes mine(static_cast<size_t>(comm.rank() + 1),

@@ -1,14 +1,12 @@
 // Unit tests for src/common: RNG determinism/statistics, Zipf sampling,
-// barrier, error macros, table rendering.
+// error macros, table rendering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <thread>
 #include <vector>
 
-#include "common/barrier.h"
 #include "common/logging.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -154,53 +152,6 @@ TEST(Zipf, HigherSkewConcentratesMass) {
   const double frac_low = top_fraction(0.8);
   const double frac_high = top_fraction(1.3);
   EXPECT_GT(frac_high, frac_low);
-}
-
-TEST(Barrier, SingleThreadPasses) {
-  ThreadBarrier b(1);
-  EXPECT_TRUE(b.arrive_and_wait());
-  EXPECT_TRUE(b.arrive_and_wait());
-}
-
-TEST(Barrier, SynchronizesPhases) {
-  constexpr int kThreads = 4;
-  constexpr int kPhases = 50;
-  ThreadBarrier barrier(kThreads);
-  std::atomic<int> phase_counter{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int p = 0; p < kPhases; ++p) {
-        phase_counter.fetch_add(1);
-        barrier.arrive_and_wait();
-        // Between two barrier crossings the counter must be a multiple of
-        // kThreads at the phase boundary.
-        if (phase_counter.load() < (p + 1) * kThreads) ok.store(false);
-        barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(phase_counter.load(), kThreads * kPhases);
-}
-
-TEST(Barrier, ExactlyOneSerialThreadPerCycle) {
-  constexpr int kThreads = 3;
-  ThreadBarrier barrier(kThreads);
-  std::atomic<int> serial_count{0};
-  std::vector<std::thread> threads;
-  constexpr int kCycles = 20;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int c = 0; c < kCycles; ++c) {
-        if (barrier.arrive_and_wait()) serial_count.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(serial_count.load(), kCycles);
 }
 
 TEST(Error, CheckThrowsWithMessage) {

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -267,12 +269,16 @@ TEST(Trainer, ControlTrafficPerStep) {
   // A step's gradient ops are one op group, announced once, and the losses
   // are averaged by one allgather after the run instead of an allreduce
   // per step. So the leader announces one unit per step, plus the lookup
-  // for the strategies that run it as an op, and the only allreduces left
-  // are Horovod-AllGather's per-table density stats inside its op bodies.
+  // for the strategies that run it as an op, and the only allreduce left
+  // is Horovod-AllGather's density stats, one per step for every table.
+  // Horovod-AllReduce gathers every table's touched rows in one allgatherv
+  // per step.
   constexpr int kWorkers = 4;
   obs::Counter& announced = obs::counter("sched.announcements");
   obs::Counter& allreduces = obs::counter("comm.calls{collective=allreduce}");
   obs::Counter& allgathers = obs::counter("comm.calls{collective=allgather}");
+  obs::Counter& allgathervs =
+      obs::counter("comm.calls{collective=allgatherv}");
   for (int si = 0; si < 6; ++si) {
     const auto s = static_cast<StrategyKind>(si);
     TrainConfig cfg = base_config();
@@ -285,9 +291,8 @@ TEST(Trainer, ControlTrafficPerStep) {
     const bool lookup_op = s == StrategyKind::kEmbRace ||
                            s == StrategyKind::kEmbRaceNoVss;
     const int64_t stats_allreduces =
-        s == StrategyKind::kHorovodAllGather
-            ? int64_t{kWorkers} * cfg.steps * cfg.num_tables
-            : 0;
+        s == StrategyKind::kHorovodAllGather ? int64_t{kWorkers} * cfg.steps
+                                             : 0;
     for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
       cfg.chunk_bytes = chunk;
       SCOPED_TRACE(std::string(strategy_kind_name(s)) +
@@ -295,11 +300,16 @@ TEST(Trainer, ControlTrafficPerStep) {
       const int64_t announced0 = announced.value();
       const int64_t allreduces0 = allreduces.value();
       const int64_t allgathers0 = allgathers.value();
+      const int64_t allgathervs0 = allgathervs.value();
       const auto dist = run_distributed(cfg, kWorkers);
       EXPECT_EQ(announced.value() - announced0,
                 int64_t{cfg.steps} * (lookup_op ? 2 : 1));
       EXPECT_EQ(allreduces.value() - allreduces0, stats_allreduces);
       EXPECT_EQ(allgathers.value() - allgathers0, kWorkers);
+      if (s == StrategyKind::kHorovodAllReduce) {
+        EXPECT_EQ(allgathervs.value() - allgathervs0,
+                  int64_t{kWorkers} * cfg.steps);
+      }
       expect_losses_close(dist.losses, oracle.losses, 2e-3f);
     }
   }
@@ -369,7 +379,7 @@ TEST(Trainer, FifoStrategyLogIsSubmissionOrdered) {
   int embgrad0 = -1, first_s1 = -1;
   for (size_t i = 0; i < stats.comm_log.size(); ++i) {
     const auto& n = stats.comm_log[i].name;
-    if (n == "embgrad/s0/t0") embgrad0 = static_cast<int>(i);
+    if (n == "embgrad/s0") embgrad0 = static_cast<int>(i);
     if (first_s1 < 0 && n.find("/s1") != std::string::npos) {
       first_s1 = static_cast<int>(i);
     }
@@ -421,24 +431,37 @@ TEST(Trainer, MultiTableMatchesOracleForAllStrategies) {
 }
 
 TEST(Trainer, MultiTableEmbRaceRunsOneOpPerKindPerStep) {
-  // Every table rides the same embdata / prior / delayed op: the op count
-  // per step does not grow with the table count.
-  TrainConfig cfg = base_config();
-  cfg.strategy = StrategyKind::kEmbRace;
-  cfg.num_tables = 3;
-  cfg.min_sentence_len = 4;
-  cfg.steps = 2;
-  const auto stats = run_distributed(cfg, 2);
-  int priors = 0, delayeds = 0, datas = 0;
-  for (const auto& r : stats.comm_log) {
-    priors += r.name.rfind("prior/", 0) == 0;
-    delayeds += r.name.rfind("delayed/", 0) == 0;
-    datas += r.name.rfind("embdata/", 0) == 0;
-    EXPECT_EQ(r.name.find("/t"), std::string::npos) << r.name;
+  // Every table rides the same op: under every strategy, each op kind runs
+  // at most once per step whatever the table count, and no op is named
+  // after a table. EmbRace runs each of its embdata / prior / delayed ops
+  // exactly once per step.
+  for (int si = 0; si < 6; ++si) {
+    const auto s = static_cast<StrategyKind>(si);
+    SCOPED_TRACE(strategy_kind_name(s));
+    TrainConfig cfg = base_config();
+    cfg.strategy = s;
+    if (needs_sgd(s)) cfg.optim = OptimKind::kSgd;
+    cfg.num_tables = 3;
+    cfg.min_sentence_len = 4;
+    cfg.steps = 2;
+    const auto stats = run_distributed(cfg, 2);
+    std::map<std::string, int> runs;  // "<kind>/s<step>" -> count
+    for (const auto& r : stats.comm_log) {
+      EXPECT_EQ(r.name.find("/t"), std::string::npos) << r.name;
+      const size_t step_at = r.name.find("/s");
+      ASSERT_NE(step_at, std::string::npos) << r.name;
+      const std::string kind_step = r.name.substr(
+          0, r.name.find_first_not_of("0123456789", step_at + 2));
+      EXPECT_EQ(++runs[kind_step], 1) << r.name;
+    }
+    if (s == StrategyKind::kEmbRace) {
+      for (const char* kind : {"embdata/s", "prior/s", "delayed/s"}) {
+        for (int step = 0; step < cfg.steps; ++step) {
+          EXPECT_EQ(runs[kind + std::to_string(step)], 1) << kind << step;
+        }
+      }
+    }
   }
-  EXPECT_EQ(priors, cfg.steps);
-  EXPECT_EQ(delayeds, cfg.steps);
-  EXPECT_EQ(datas, cfg.steps);
 }
 
 TEST(Trainer, MultiTableHybridGridMatchesOracle) {
@@ -594,7 +617,7 @@ TEST(Trainer, BytePsDenseUsesPriorityScheduling) {
     int embgrad0 = -1, dense0 = -1;
     for (size_t i = 0; i < stats.comm_log.size(); ++i) {
       const auto& n = stats.comm_log[i].name;
-      if (n == "embgrad/s0/t0") embgrad0 = static_cast<int>(i);
+      if (n == "embgrad/s0") embgrad0 = static_cast<int>(i);
       if (n == "dense/s0") dense0 = static_cast<int>(i);
     }
     ASSERT_GE(embgrad0, 0);
