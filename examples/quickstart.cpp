@@ -44,7 +44,8 @@ int main() {
               static_cast<long long>(stats.fabric_messages));
 
   std::puts("\nfirst scheduled communication ops on rank 0 (note the 2D "
-            "order: prior grads -> emb data -> dense blocks -> delayed):");
+            "order: emb data -> prior grads -> dense blocks; delayed grads "
+            "ride the next step's emb data):");
   for (size_t i = 0; i < stats.comm_log.size() && i < 12; ++i) {
     std::printf("  %2zu. %s\n", i, stats.comm_log[i].name.c_str());
   }

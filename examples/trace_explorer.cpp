@@ -5,7 +5,8 @@
 // Open trace.json in chrome://tracing or https://ui.perfetto.dev — each rank
 // renders as one process with its training thread and comm thread as
 // separate lanes, so the hybrid strategy's overlap (dense AllReduce under
-// BP, delayed AlltoAllv under the next step's FP) is directly visible.
+// BP, the delayed gradient riding the next step's lookup AlltoAllv) is
+// directly visible.
 //
 // Usage:
 //   trace_explorer [workers] [steps] [strategy] [tables]

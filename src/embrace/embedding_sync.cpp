@@ -72,16 +72,18 @@ class HybridSync : public EmbeddingSync {
     // own batch.
     all_cur_ = step == 0 ? gather_ids(seg) : std::move(all_next_);
     // The lookup AlltoAll runs as one scheduled comm op ("Emb Data"),
-    // ordered after the previous step's prior/delayed ops — the dependency
-    // the paper's Figure 6(c) encodes.
-    int64_t bytes = 0;
+    // ordered after the previous step's gradient ops — the dependency the
+    // paper's Figure 6(c) encodes. It also carries the previous step's
+    // parked gradient parts, if any.
+    int64_t bytes = carried_.bytes;
     for (const auto& ids : seg.ids) {
       bytes += static_cast<int64_t>(ids.size()) * ctx_.cfg.dim *
                static_cast<int64_t>(sizeof(float));
     }
     std::vector<sched::Handle> handles{ctx_.submit(
         "embdata", step, Priorities::embdata(step), bytes,
-        sched::OpKind::kEmbData, [this, &seg, &emb_out] {
+        sched::OpKind::kEmbData,
+        [this, &seg, &emb_out, carried = std::exchange(carried_, {})] {
           std::vector<TableLookup> sections;
           sections.reserve(static_cast<size_t>(tables()));
           for (int t = 0; t < tables(); ++t) {
@@ -90,11 +92,19 @@ class HybridSync : public EmbeddingSync {
                                 .my_ids = seg.ids[t],
                                 .cache = caches_[t].get()});
           }
-          const std::vector<Tensor> rows =
-              PartitionedEmbedding::distributed_lookup(ctx_.comm_ch, sections,
-                                                       ctx_.grp);
+          const auto [rows, grads] = PartitionedEmbedding::distributed_lookup(
+              ctx_.comm_ch, sections, ctx_.grp,
+              grad_sections(carried.parts, carried.codecs));
           for (int t = 0; t < tables(); ++t) {
             scatter_rows(rows[t], seg.pos[t], emb_out);
+          }
+          // The parked delayed parts hold only rows that no worker reads
+          // at this step, so they apply after the lookup packed its reply,
+          // and before this step's prior part, as the modified Adam
+          // requires.
+          for (size_t t = 0; t < grads.size(); ++t) {
+            opts_[t]->apply(shards_[t]->shard(), grads[t],
+                            nn::SparseStep::kDelayed);
           }
         })};
     // Algorithm 1's D_next, which is also the next step's D_cur: gathered
@@ -114,7 +124,7 @@ class HybridSync : public EmbeddingSync {
   // like the delayed op's: the scheduler's rank-agreed order already places
   // hotsync(s) before every op of step s+1, and shutdown drains the tail.
   void step_end(int step) override {
-    if (cache_budget_ <= 0) return;
+    if (!cached()) return;
     // Bytes are the budget-rows ceiling, not hot_count(): cache state
     // belongs to the comm thread, and the previous step's hotsync may still
     // be mutating it while this thread submits.
@@ -170,6 +180,21 @@ class HybridSync : public EmbeddingSync {
 
   int tables() const { return ctx_.cfg.num_tables; }
 
+  // One exchange_grad section per table of `parts` (none when empty).
+  std::vector<TableGrad> grad_sections(
+      const std::vector<SparseRows>& parts,
+      const std::vector<const comm::Codec*>& codecs) const {
+    std::vector<TableGrad> sections;
+    sections.reserve(parts.size());
+    for (size_t t = 0; t < parts.size(); ++t) {
+      sections.push_back({.table = *shards_[t],
+                          .part = parts[t],
+                          .codec = codecs[t],
+                          .cache = caches_[t].get()});
+    }
+    return sections;
+  }
+
   // Every worker's ids of every table of `batch`, in one allgatherv on the
   // main channel.
   std::vector<std::vector<std::vector<int64_t>>> gather_ids(
@@ -198,23 +223,28 @@ class HybridSync : public EmbeddingSync {
                                  nn::SparseStep step) {
     return [this, step, parts = std::move(parts),
             codecs = std::move(codecs)] {
-      std::vector<TableGrad> sections;
-      sections.reserve(parts.size());
-      for (int t = 0; t < tables(); ++t) {
-        sections.push_back({.table = *shards_[t],
-                            .part = parts[t],
-                            .codec = codecs[t],
-                            .cache = caches_[t].get()});
-      }
       const std::vector<SparseRows> g = PartitionedEmbedding::exchange_grad(
-          ctx_.comm_ch, sections, ctx_.grp);
+          ctx_.comm_ch, grad_sections(parts, codecs), ctx_.grp);
       for (int t = 0; t < tables(); ++t) {
         opts_[t]->apply(shards_[t]->shard(), g[t], step);
       }
     };
   }
 
+  // Whether the hot-row caches are on: their hotsync op then runs between
+  // a step's gradient ops and the next lookup.
+  bool cached() const { return cache_budget_ > 0; }
+
   SyncContext& ctx_;
+  // Algorithm 1's delayed parts, parked for the next lookup's AlltoAll:
+  // per table, the part and its codec, and their byte estimate. Empty when
+  // nothing rides.
+  struct Carried {
+    std::vector<SparseRows> parts;
+    std::vector<const comm::Codec*> codecs;
+    int64_t bytes = 0;
+  };
+  Carried carried_;
   // Every worker's ids of the current and of the next batch, per table and
   // worker (Algorithm 1's D_cur and D_next); all_cur_[t][rank] is this
   // rank's own.
@@ -285,9 +315,21 @@ class EmbRaceSync final : public HybridSync {
         "prior", step, Priorities::prior(step), prior_bytes,
         sched::OpKind::kSparsePrior,
         exchange(std::move(prior), codecs, nn::SparseStep::kPrior)));
-    // The delayed part fills the queue's tail; its step-scoped priority
-    // keeps it ahead of the next step's ops (the modified Adam requires
-    // delayed(s) to land before prior(s+1)), so its handle is not waited on.
+    // delayed(s) holds only rows that no worker reads at step s+1, so it
+    // rides the next lookup's AlltoAll instead of paying a round of its own
+    // — the paper's "trickles out during FP". It can whenever a next lookup
+    // exists and no op runs in between: with the caches on, hotsync(s)
+    // must see delayed(s)'s hot rows first.
+    if (step + 1 < ctx_.cfg.steps && !cached()) {
+      carried_ = {.parts = std::move(delayed),
+                  .codecs = std::move(codecs),
+                  .bytes = delayed_bytes};
+      return;
+    }
+    // Otherwise the delayed part fills the queue's tail; its step-scoped
+    // priority keeps it ahead of the next step's ops (the modified Adam
+    // requires delayed(s) to land before prior(s+1)), so its handle is not
+    // waited on.
     ctx_.submit("delayed", step, Priorities::delayed(step), delayed_bytes,
                 sched::OpKind::kSparseDelayed,
                 exchange(std::move(delayed), std::move(codecs),

@@ -31,8 +31,11 @@ namespace embrace::core {
 // Step-scoped priorities: ops of step s always precede ops of step s+1 in
 // the priority order (required for the modified Adam's prior/delayed
 // sequencing); within a step the 2D order is prior < embdata < dense <
-// delayed. Every strategy runs at most one op per kind per step, with every
-// table inside it.
+// delayed. EmbRace submits a standalone delayed op only at the last step,
+// or on every step with the hot-row cache on; otherwise delayed(s) rides
+// embdata(s+1), which runs after every op of step s and before prior(s+1).
+// Every strategy runs at most one op per kind per step, with every table
+// inside it.
 struct Priorities {
   static double base(int step) { return 1e6 * step; }
   static double prior(int step) { return base(step); }

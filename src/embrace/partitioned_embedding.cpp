@@ -1,8 +1,10 @@
 #include "embrace/partitioned_embedding.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "comm/hierarchical_collectives.h"
@@ -55,6 +57,113 @@ std::vector<int64_t> read_ids(const std::byte* p, size_t n) {
                         std::to_string(worker) + ": " + what + " (" +
                         std::to_string(size) + " bytes)");
 }
+
+// The gradient leg of an exchange, shared by exchange_grad and by a lookup
+// that carries gradients: every table's cold part, sliced per peer into the
+// columns that peer owns and packed back to back in the sparse wire format
+// (values codec-encoded when a codec is active), and on the receiving side
+// the rank-ordered sum of the peers' sections.
+class GradSections {
+ public:
+  // Hot rows never touch the AlltoAll: their gradients park in the cache's
+  // pending buffer until the next hotsync AllReduce. The membership is
+  // rank-agreed, so every rank ships the same cold row set.
+  GradSections(const comm::Communicator& comm, std::span<const TableGrad> tables)
+      : tables_(tables),
+        cold_storage_(tables.size()),
+        cold_(tables.size()),
+        codecs_(tables.size()) {
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const TableGrad& tg = tables[t];
+      EMBRACE_CHECK(tg.table.world() == comm.size() &&
+                        tg.table.rank() == comm.rank(),
+                    << "table shard does not belong to this communicator");
+      EMBRACE_CHECK_EQ(tg.part.num_total_rows(), tg.table.vocab());
+      EMBRACE_CHECK_EQ(tg.part.dim(), tg.table.dim());
+      codecs_[t] = tg.codec;
+      cold_[t] = &tg.part;
+      HotRowCache* cache = tg.cache;
+      if (cache != nullptr && cache->enabled() && cache->hot_count() > 0) {
+        auto [hot, rest] = tg.part.split_by_membership(cache->hot_rows());
+        cache->accumulate(std::move(hot));
+        cold_storage_[t] = std::move(rest);
+        cold_[t] = &cold_storage_[t];
+      }
+    }
+  }
+
+  // Rank r's payload: `prefix` bytes for the caller to fill, then every
+  // table's column slice for rank r, back to back.
+  comm::Bytes pack(comm::Communicator& comm, int r, size_t prefix) const {
+    std::vector<SparseRows> slices;
+    std::vector<size_t> sizes;
+    slices.reserve(tables_.size());
+    sizes.reserve(tables_.size());
+    size_t size = prefix;
+    bool any_rows = false;
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      const auto [c0, c1] = tables_[t].table.col_range(r);
+      slices.push_back(cold_[t]->slice_columns(c0, c1));
+      sizes.push_back(comm::sparse_wire_bytes(slices[t], codecs_[t]));
+      size += sizes[t];
+      any_rows |= !slices[t].empty();
+    }
+    // An all-empty payload skips the pool, as comm::sparse_pack_wire does.
+    comm::Bytes buf = prefix > 0 || any_rows ? comm.pool().acquire(size)
+                                             : comm::Bytes(size);
+    size_t offset = prefix;
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      comm::sparse_pack_wire_into(slices[t], codecs_[t],
+                                  std::span(buf).subspan(offset, sizes[t]));
+      offset += sizes[t];
+    }
+    return buf;
+  }
+
+  // Sums every worker's contribution to my shards, in rank order
+  // (received[r] holds rank r's sections); returns each table's coalesced
+  // shard gradient. Raw sections are parsed in place and assembled in one
+  // pass; encoded sections cannot be viewed in place, so they are decoded
+  // first.
+  std::vector<SparseRows> sum(
+      std::span<const std::span<const std::byte>> received) const {
+    std::vector<std::vector<SparseRows::WireView>> views(tables_.size());
+    std::vector<SparseRows> decoded;
+    for (const TableGrad& tg : tables_) {
+      decoded.push_back(
+          SparseRows::empty(tg.table.vocab(), tg.table.shard_width()));
+    }
+    for (const std::span<const std::byte> buf : received) {
+      const auto parts = comm::split_sparse_wire(buf, codecs_);
+      for (size_t t = 0; t < tables_.size(); ++t) {
+        if (codecs_[t] != nullptr) {
+          decoded[t] = SparseRows::concat(
+              decoded[t], comm::sparse_unpack_wire(parts[t], codecs_[t]));
+        } else {
+          views[t].push_back(
+              SparseRows::parse_packed(parts[t].data(), parts[t].size()));
+        }
+      }
+    }
+    std::vector<SparseRows> out;
+    out.reserve(tables_.size());
+    for (size_t t = 0; t < tables_.size(); ++t) {
+      const PartitionedEmbedding& pe = tables_[t].table;
+      out.push_back(codecs_[t] != nullptr
+                        ? decoded[t].coalesced()
+                        : SparseRows::concat_views(pe.vocab(), pe.shard_width(),
+                                                   views[t])
+                              .coalesced());
+    }
+    return out;
+  }
+
+ private:
+  std::span<const TableGrad> tables_;
+  std::vector<SparseRows> cold_storage_;
+  std::vector<const SparseRows*> cold_;
+  std::vector<const comm::Codec*> codecs_;
+};
 
 }  // namespace
 
@@ -152,9 +261,9 @@ Tensor PartitionedEmbedding::shard_lookup(
   return out;
 }
 
-std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
+PartitionedEmbedding::LookupResult PartitionedEmbedding::distributed_lookup(
     comm::Communicator& comm, std::span<const TableLookup> tables,
-    comm::CommGroup* group) {
+    comm::CommGroup* group, std::span<const TableGrad> carry) {
   const int world = comm.size();
   const int rank = comm.rank();
   // Per table: the ids each worker's section carries, and the positions of
@@ -202,9 +311,12 @@ std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
     }
   }
   // Look up every worker's (cold) ids in my column shards, writing each
-  // table's rows straight into that worker's payload.
+  // table's rows straight into that worker's payload, followed by any
+  // carried gradient sections that worker owns.
+  std::optional<GradSections> carried;
+  if (!carry.empty()) carried.emplace(comm, carry);
   std::vector<comm::Bytes> payloads(static_cast<size_t>(world));
-  int64_t wire_bytes = 0;
+  int64_t wire_bytes = 0, grad_wire_bytes = 0;
   for (int w = 0; w < world; ++w) {
     size_t size = 0;
     for (size_t t = 0; t < tables.size(); ++t) {
@@ -213,7 +325,7 @@ std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
               sizeof(float);
     }
     comm::Bytes& buf = payloads[static_cast<size_t>(w)];
-    buf = comm.pool().acquire(size);
+    buf = carried ? carried->pack(comm, w, size) : comm.pool().acquire(size);
     std::byte* p = buf.data();
     for (size_t t = 0; t < tables.size(); ++t) {
       const PartitionedEmbedding& pe = tables[t].table;
@@ -226,24 +338,38 @@ std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
       }
     }
     wire_bytes += static_cast<int64_t>(size);
+    grad_wire_bytes += static_cast<int64_t>(buf.size() - size);
   }
   lookup_bytes_counter().add(wire_bytes);
+  if (carried) grad_bytes_counter().add(grad_wire_bytes);
   auto received = exchange(comm, group, std::move(payloads));
   // Assemble my batch's full-dim vectors from the column slices, reading the
-  // wire buffers in place and recycling them once consumed.
-  std::vector<Tensor> out;
+  // wire buffers in place; the carried sections follow the lookup sections.
+  LookupResult result;
+  std::vector<Tensor>& out = result.rows;
   out.reserve(tables.size());
   for (const TableLookup& tl : tables) {
     out.emplace_back(std::vector<int64_t>{
         static_cast<int64_t>(tl.my_ids.size()), tl.table.dim_});
   }
   std::vector<size_t> sizes(tables.size());
+  std::vector<std::span<const std::byte>> grad_parts(
+      static_cast<size_t>(world));
   for (int r = 0; r < world; ++r) {
-    comm::Bytes& buf = received[static_cast<size_t>(r)];
+    std::span<const std::byte> buf(received[static_cast<size_t>(r)]);
+    size_t lookup_size = 0;
     for (size_t t = 0; t < tables.size(); ++t) {
       const auto [c0, c1] = tables[t].table.col_range(r);
       sizes[t] = sections[t].wire_pos.size() * static_cast<size_t>(c1 - c0) *
                  sizeof(float);
+      lookup_size += sizes[t];
+    }
+    if (carried) {
+      // A payload short of its lookup sections stays short, so
+      // split_sections rejects it.
+      const size_t cut = std::min(lookup_size, buf.size());
+      grad_parts[static_cast<size_t>(r)] = buf.subspan(cut);
+      buf = buf.first(cut);
     }
     const auto parts = comm::split_sections(buf, sizes);
     for (size_t t = 0; t < tables.size(); ++t) {
@@ -255,8 +381,9 @@ std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
         src += row_bytes;
       }
     }
-    comm.pool().release(std::move(buf));
   }
+  if (carried) result.grads = carried->sum(grad_parts);
+  for (comm::Bytes& buf : received) comm.pool().release(std::move(buf));
   for (size_t t = 0; t < tables.size(); ++t) {
     HotRowCache* cache = tables[t].cache;
     if (cache == nullptr || !cache->enabled()) continue;
@@ -276,7 +403,7 @@ std::vector<Tensor> PartitionedEmbedding::distributed_lookup(
     hits.add(static_cast<int64_t>(my_ids.size()) - wire);
     misses.add(wire);
   }
-  return out;
+  return result;
 }
 
 Tensor PartitionedEmbedding::distributed_lookup(
@@ -284,95 +411,26 @@ Tensor PartitionedEmbedding::distributed_lookup(
     const std::vector<int64_t>& my_ids, const EmbedExchange& ex) const {
   const TableLookup one{
       .table = *this, .all_ids = all_ids, .my_ids = my_ids, .cache = ex.cache};
-  return std::move(distributed_lookup(comm, std::span(&one, 1), ex.group)[0]);
+  return std::move(
+      distributed_lookup(comm, std::span(&one, 1), ex.group).rows[0]);
 }
 
 std::vector<SparseRows> PartitionedEmbedding::exchange_grad(
     comm::Communicator& comm, std::span<const TableGrad> tables,
     comm::CommGroup* group) {
-  const int world = comm.size();
-  // Hot rows never touch the AlltoAll: their gradients park in the cache's
-  // pending buffer until the next hotsync AllReduce. The membership is
-  // rank-agreed, so every rank ships the same cold row set.
-  std::vector<SparseRows> cold_storage(tables.size());
-  std::vector<const SparseRows*> cold(tables.size());
-  std::vector<const comm::Codec*> codecs(tables.size());
-  for (size_t t = 0; t < tables.size(); ++t) {
-    const TableGrad& tg = tables[t];
-    EMBRACE_CHECK(tg.table.world_ == world && tg.table.rank_ == comm.rank(),
-                  << "table shard does not belong to this communicator");
-    EMBRACE_CHECK_EQ(tg.part.num_total_rows(), tg.table.vocab_);
-    EMBRACE_CHECK_EQ(tg.part.dim(), tg.table.dim_);
-    codecs[t] = tg.codec;
-    cold[t] = &tg.part;
-    HotRowCache* cache = tg.cache;
-    if (cache != nullptr && cache->enabled() && cache->hot_count() > 0) {
-      auto [hot, rest] = tg.part.split_by_membership(cache->hot_rows());
-      cache->accumulate(std::move(hot));
-      cold_storage[t] = std::move(rest);
-      cold[t] = &cold_storage[t];
-    }
-  }
-  // Ship each rank the column slices it owns, serialized back to back into
-  // one pooled wire buffer (values codec-encoded when a codec is active).
-  std::vector<comm::Bytes> payloads(static_cast<size_t>(world));
-  std::vector<SparseRows> slices(tables.size());
-  std::vector<size_t> sizes(tables.size());
+  const GradSections grads(comm, tables);
+  std::vector<comm::Bytes> payloads(static_cast<size_t>(comm.size()));
   int64_t wire_bytes = 0;
-  for (int r = 0; r < world; ++r) {
-    size_t size = 0;
-    bool any_rows = false;
-    for (size_t t = 0; t < tables.size(); ++t) {
-      const auto [c0, c1] = tables[t].table.col_range(r);
-      slices[t] = cold[t]->slice_columns(c0, c1);
-      sizes[t] = comm::sparse_wire_bytes(slices[t], codecs[t]);
-      size += sizes[t];
-      any_rows |= !slices[t].empty();
-    }
-    // An all-empty payload skips the pool, as comm::sparse_pack_wire does.
+  for (int r = 0; r < comm.size(); ++r) {
     comm::Bytes& buf = payloads[static_cast<size_t>(r)];
-    buf = any_rows ? comm.pool().acquire(size) : comm::Bytes(size);
-    size_t offset = 0;
-    for (size_t t = 0; t < tables.size(); ++t) {
-      comm::sparse_pack_wire_into(slices[t], codecs[t],
-                                  std::span(buf).subspan(offset, sizes[t]));
-      offset += sizes[t];
-    }
-    wire_bytes += static_cast<int64_t>(size);
+    buf = grads.pack(comm, r, 0);
+    wire_bytes += static_cast<int64_t>(buf.size());
   }
   grad_bytes_counter().add(wire_bytes);
   auto received = exchange(comm, group, std::move(payloads));
-  // Sum the contributions of all workers for my shards, in rank order.
-  // Raw sections are parsed in place and assembled in one pass; encoded
-  // sections cannot be viewed in place, so they are decoded first.
-  std::vector<std::vector<SparseRows::WireView>> views(tables.size());
-  std::vector<SparseRows> decoded;
-  for (const TableGrad& tg : tables) {
-    decoded.push_back(SparseRows::empty(tg.table.vocab_,
-                                        tg.table.shard_width()));
-  }
-  for (const comm::Bytes& buf : received) {
-    const auto parts = comm::split_sparse_wire(buf, codecs);
-    for (size_t t = 0; t < tables.size(); ++t) {
-      if (codecs[t] != nullptr) {
-        decoded[t] = SparseRows::concat(
-            decoded[t], comm::sparse_unpack_wire(parts[t], codecs[t]));
-      } else {
-        views[t].push_back(
-            SparseRows::parse_packed(parts[t].data(), parts[t].size()));
-      }
-    }
-  }
-  std::vector<SparseRows> out;
-  out.reserve(tables.size());
-  for (size_t t = 0; t < tables.size(); ++t) {
-    const PartitionedEmbedding& pe = tables[t].table;
-    out.push_back(codecs[t] != nullptr
-                      ? decoded[t].coalesced()
-                      : SparseRows::concat_views(pe.vocab_, pe.shard_width(),
-                                                 views[t])
-                            .coalesced());
-  }
+  const std::vector<std::span<const std::byte>> parts(received.begin(),
+                                                      received.end());
+  std::vector<SparseRows> out = grads.sum(parts);
   for (comm::Bytes& buf : received) comm.pool().release(std::move(buf));
   return out;
 }

@@ -116,9 +116,21 @@ class PartitionedEmbedding {
   // list against the same rank-agreed membership, so the shrunken exchange
   // stays SPMD-consistent. A section of the wrong size throws
   // WireFormatError.
-  static std::vector<Tensor> distributed_lookup(
-      comm::Communicator& comm, std::span<const TableLookup> tables,
-      comm::CommGroup* group = nullptr);
+  //
+  // `carry` rides a gradient exchange on the same AlltoAll: each peer's
+  // payload is its lookup sections followed by the exchange_grad sections
+  // it owns, and `grads` returns, per carried table, bitwise what
+  // exchange_grad(comm, carry, group) would (empty without a carry).
+  // EmbRace ships step s's delayed gradient inside step s+1's lookup this
+  // way. With no carry the wire is the plain lookup's.
+  struct LookupResult {
+    std::vector<Tensor> rows;
+    std::vector<SparseRows> grads;
+  };
+  static LookupResult distributed_lookup(comm::Communicator& comm,
+                                         std::span<const TableLookup> tables,
+                                         comm::CommGroup* group = nullptr,
+                                         std::span<const TableGrad> carry = {});
   Tensor distributed_lookup(comm::Communicator& comm,
                             const std::vector<std::vector<int64_t>>& all_ids,
                             const std::vector<int64_t>& my_ids,

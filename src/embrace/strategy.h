@@ -84,8 +84,9 @@ struct TrainConfig {
   // functional analogue of GNMT/Transformer's separate encoder/decoder
   // embeddings. Every table keeps its own shard, optimizer, codec and
   // cache. Every strategy carries all tables in one op per kind and step
-  // (one embdata / prior / delayed AlltoAllv under EmbRace, one embgrad op
-  // under the Horovod and PS strategies).
+  // (one embdata / prior AlltoAllv under EmbRace, whose delayed part rides
+  // the next step's embdata, one embgrad op under the Horovod and PS
+  // strategies).
   int num_tables = 1;
 
   OptimKind optim = OptimKind::kAdam;

@@ -4,7 +4,8 @@
 // lookups and gradients travel is the strategy's EmbeddingSync
 // (embedding_sync.h). EmbRace's hybrid communication and 2D scheduling
 // follow the paper (§4, §5.1):
-//   * column-partitioned embeddings with two AlltoAll passes per step,
+//   * column-partitioned embeddings with two AlltoAll passes per step (the
+//     lookup one also carries the previous step's delayed gradient),
 //   * a negotiated priority queue + communication thread,
 //   * Algorithm 1's prior/delayed gradient split with the modified Adam.
 //
@@ -273,7 +274,8 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     // trailing ops) are one op group (DESIGN.md §10): the leader announces
     // them once, and every rank runs them back to back in priority order.
     // So EmbRace's prior and BytePS's push run before dense, and EmbRace's
-    // delayed and the hot-row sync after it, whatever the submission order.
+    // standalone delayed op (last step, or hot-row cache on) and the hot-row
+    // sync after it, whatever the submission order.
     sched::NegotiatedScheduler::Group grad_ops = scheduler.open_group();
     // The head's FP and BP are one call, so every head gradient is final
     // at once: they travel as one fusion buffer (Horovod's tensor fusion).

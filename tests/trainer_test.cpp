@@ -272,9 +272,11 @@ TEST(Trainer, ControlTrafficPerStep) {
   // for the strategies that run it as an op, and the only allreduce left
   // is Horovod-AllGather's density stats, one per step for every table.
   // Horovod-AllReduce gathers every table's touched rows in one allgatherv
-  // per step.
+  // per step. Every member of a group runs to completion, so no op is ever
+  // preempted.
   constexpr int kWorkers = 4;
   obs::Counter& announced = obs::counter("sched.announcements");
+  obs::Counter& preemptions = obs::counter("sched.preemptions");
   obs::Counter& allreduces = obs::counter("comm.calls{collective=allreduce}");
   obs::Counter& allgathers = obs::counter("comm.calls{collective=allgather}");
   obs::Counter& allgathervs =
@@ -301,7 +303,9 @@ TEST(Trainer, ControlTrafficPerStep) {
       const int64_t allreduces0 = allreduces.value();
       const int64_t allgathers0 = allgathers.value();
       const int64_t allgathervs0 = allgathervs.value();
+      const int64_t preemptions0 = preemptions.value();
       const auto dist = run_distributed(cfg, kWorkers);
+      EXPECT_EQ(preemptions.value() - preemptions0, 0);
       EXPECT_EQ(announced.value() - announced0,
                 int64_t{cfg.steps} * (lookup_op ? 2 : 1));
       EXPECT_EQ(allreduces.value() - allreduces0, stats_allreduces);
@@ -323,8 +327,11 @@ TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
   cfg.steps = 3;
   const auto stats = run_distributed(cfg, 2);
   ASSERT_FALSE(stats.comm_log.empty());
-  // Per step: prior and embdata before the dense op before delayed;
-  // delayed(s) before prior(s+1). Each op carries both tables.
+  // Per step: prior and embdata before the dense op. Step s's delayed
+  // part rides embdata(s+1), so that op runs after dense(s) and before
+  // prior(s+1). The last step has no lookup to ride: its delayed op runs
+  // on its own, after its dense op, and it is the only delayed op. Each op
+  // carries both tables.
   auto position = [&](const std::string& name) {
     for (size_t i = 0; i < stats.comm_log.size(); ++i) {
       if (stats.comm_log[i].name == name) return static_cast<int>(i);
@@ -336,13 +343,45 @@ TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
     const std::string step = std::to_string(s);
     EXPECT_LT(position("embdata/s" + step), position("dense/s" + step));
     EXPECT_LT(position("prior/s" + step), position("dense/s" + step));
-    EXPECT_LT(position("dense/s" + step), position("delayed/s" + step));
-    EXPECT_LT(position("prior/s" + step), position("delayed/s" + step));
-    if (s > 0) {
-      const std::string prev = std::to_string(s - 1);
-      EXPECT_LT(position("delayed/s" + prev), position("prior/s" + step));
-      EXPECT_LT(position("delayed/s" + prev), position("embdata/s" + step));
+    if (s + 1 < cfg.steps) {
+      const std::string next = std::to_string(s + 1);
+      EXPECT_LT(position("dense/s" + step), position("embdata/s" + next));
+      EXPECT_LT(position("embdata/s" + next), position("prior/s" + next));
     }
+  }
+  const std::string last = std::to_string(cfg.steps - 1);
+  EXPECT_LT(position("dense/s" + last), position("delayed/s" + last));
+  EXPECT_LT(position("prior/s" + last), position("delayed/s" + last));
+  int delayed_ops = 0;
+  for (const auto& r : stats.comm_log) {
+    delayed_ops += r.name.rfind("delayed/", 0) == 0;
+  }
+  EXPECT_EQ(delayed_ops, 1);
+}
+
+TEST(Trainer, EmbRaceCarriesDelayedInNextLookup) {
+  // With the cache off on a flat topology, EmbRace's delayed part rides the
+  // next step's lookup AlltoAllv: one embdata and one prior AlltoAllv per
+  // step, plus the last step's own delayed one. noVSS runs one embdata and
+  // one embgrad AlltoAllv per step.
+  constexpr int kWorkers = 4;
+  obs::Counter& alltoallvs = obs::counter("comm.calls{collective=alltoallv}");
+  TrainConfig cfg = base_config();
+  cfg.num_tables = 2;
+  cfg.min_sentence_len = 4;
+  cfg.steps = 4;
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRaceNoVss, StrategyKind::kEmbRace}) {
+    SCOPED_TRACE(strategy_kind_name(s));
+    cfg.strategy = s;
+    const auto oracle = run_oracle(cfg, kWorkers);
+    const int64_t before = alltoallvs.value();
+    const auto dist = run_distributed(cfg, kWorkers);
+    const int64_t per_worker = s == StrategyKind::kEmbRace
+                                   ? 2 * int64_t{cfg.steps} + 1
+                                   : 2 * int64_t{cfg.steps};
+    EXPECT_EQ(alltoallvs.value() - before, kWorkers * per_worker);
+    expect_losses_close(dist.losses, oracle.losses, 2e-3f);
   }
 }
 
@@ -433,8 +472,9 @@ TEST(Trainer, MultiTableMatchesOracleForAllStrategies) {
 TEST(Trainer, MultiTableEmbRaceRunsOneOpPerKindPerStep) {
   // Every table rides the same op: under every strategy, each op kind runs
   // at most once per step whatever the table count, and no op is named
-  // after a table. EmbRace runs each of its embdata / prior / delayed ops
-  // exactly once per step.
+  // after a table. EmbRace runs its embdata and prior ops exactly once per
+  // step, and its delayed op only at the last step: every earlier delayed
+  // part rides the next step's embdata.
   for (int si = 0; si < 6; ++si) {
     const auto s = static_cast<StrategyKind>(si);
     SCOPED_TRACE(strategy_kind_name(s));
@@ -455,10 +495,12 @@ TEST(Trainer, MultiTableEmbRaceRunsOneOpPerKindPerStep) {
       EXPECT_EQ(++runs[kind_step], 1) << r.name;
     }
     if (s == StrategyKind::kEmbRace) {
-      for (const char* kind : {"embdata/s", "prior/s", "delayed/s"}) {
-        for (int step = 0; step < cfg.steps; ++step) {
-          EXPECT_EQ(runs[kind + std::to_string(step)], 1) << kind << step;
-        }
+      for (int step = 0; step < cfg.steps; ++step) {
+        const std::string at = std::to_string(step);
+        EXPECT_EQ(runs["embdata/s" + at], 1) << step;
+        EXPECT_EQ(runs["prior/s" + at], 1) << step;
+        EXPECT_EQ(runs["delayed/s" + at], step + 1 == cfg.steps ? 1 : 0)
+            << step;
       }
     }
   }
