@@ -176,10 +176,13 @@ int main(int argc, char** argv) {
                 static_cast<long long>(k.ops));
   }
   // Control plane (DESIGN.md §10): the leader announces each negotiation
-  // unit once — a step's gradient op group, or one quantum of a plain op.
+  // unit once — an op group, or one quantum of a plain op — until the
+  // step's groups repeat; from then on it replays them without a message.
   std::printf("\nscheduler announcements: %lld\n",
               static_cast<long long>(
                   obs::counter("sched.announcements").value()));
+  std::printf("scheduler replayed units: %lld\n",
+              static_cast<long long>(obs::counter("sched.replayed").value()));
   // Sparse-algorithm engine decisions (DESIGN.md §12) — populated by the
   // allgather strategy's per-op AlgoPicker, zero elsewhere.
   bool any_picks = false;

@@ -74,12 +74,15 @@ class HybridSync : public EmbeddingSync {
     // The lookup AlltoAll runs as one scheduled comm op ("Emb Data"),
     // ordered after the previous step's gradient ops — the dependency the
     // paper's Figure 6(c) encodes. It also carries the previous step's
-    // parked gradient parts, if any.
+    // parked gradient parts, if any. It is a one-op group, so the
+    // scheduler can replay it like the step's gradient group (DESIGN.md
+    // §10).
     int64_t bytes = carried_.bytes;
     for (const auto& ids : seg.ids) {
       bytes += static_cast<int64_t>(ids.size()) * ctx_.cfg.dim *
                static_cast<int64_t>(sizeof(float));
     }
+    sched::NegotiatedScheduler::Group lookup_op = ctx_.scheduler.open_group();
     std::vector<sched::Handle> handles{ctx_.submit(
         "embdata", step, Priorities::embdata(step), bytes,
         sched::OpKind::kEmbData,
@@ -107,6 +110,7 @@ class HybridSync : public EmbeddingSync {
                             nn::SparseStep::kDelayed);
           }
         })};
+    lookup_op.close();
     // Algorithm 1's D_next, which is also the next step's D_cur: gathered
     // on this thread while the comm thread runs the lookup. The last step
     // feeds no next step, so it gathers nothing; an empty D_next sends its

@@ -272,7 +272,8 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     obs::PhaseScope issue(acc, obs::Phase::kCommIssue);
     // The step's gradient ops (dense, the embedding exchange and the
     // trailing ops) are one op group (DESIGN.md §10): the leader announces
-    // them once, and every rank runs them back to back in priority order.
+    // them once, or replays them without a message once the step's units
+    // repeat, and every rank runs them back to back in priority order.
     // So EmbRace's prior and BytePS's push run before dense, and EmbRace's
     // standalone delayed op (last step, or hot-row cache on) and the hot-row
     // sync after it, whatever the submission order.

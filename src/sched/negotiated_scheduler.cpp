@@ -18,6 +18,14 @@ constexpr double kQueueDepthEdges[] = {0, 1, 2, 4, 8, 16, 32, 64};
 // Announcement sentinel that stops every comm thread.
 const char kStopToken[] = "\x01__stop__";
 
+// An announcement that arms replay ends in this byte and then the period.
+// Op names never contain it, so it also separates a signature's fields.
+constexpr char kArmMarker = '\x02';
+
+// Longest replay period, in units; the leader keeps the signatures of the
+// last 2·kMaxPeriod announced units.
+constexpr size_t kMaxPeriod = 4;
+
 // Slice length for the follower's abortable announcement poll. Latency is
 // unaffected (the wait wakes as soon as a message lands); the slice only
 // bounds how fast abort() and the pending-deadline check are noticed.
@@ -51,7 +59,8 @@ std::string describe(const std::exception_ptr& e) {
 struct NegotiatedScheduler::Op {
   OpDesc desc;
   uint64_t seq = 0;
-  uint64_t group = 0;  // the op group it was staged in; 0 for a plain op
+  uint64_t unit = 0;     // publication index of its negotiation unit
+  bool grouped = false;  // staged in an op group
   int64_t slices = 1;
   int64_t next_slice = 0;  // comm thread only
   SliceFn fn;
@@ -88,6 +97,8 @@ bool NegotiatedScheduler::failed() const {
 Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
                                    SliceFn body) {
   EMBRACE_CHECK(desc.name != kStopToken, << "reserved op name");
+  EMBRACE_CHECK(desc.name.find(kArmMarker) == std::string::npos,
+                << "op name contains the reserved byte \\x02");
   EMBRACE_CHECK_GE(slices, 1, << "op '" << desc.name << "'");
   EMBRACE_CHECK(static_cast<bool>(body), << "op '" << desc.name
                                          << "' needs a body");
@@ -114,10 +125,11 @@ Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
     op->seq = next_seq_++;
     if (group_open_) {
       // Invisible to the comm thread until the group closes.
-      op->group = last_group_;
+      op->grouped = true;
       staged_.push_back(op);
       return Handle(op->state);
     }
+    op->unit = next_unit_++;
     submitted_.emplace(op->desc.name, op);
   }
   cv_.notify_all();
@@ -133,7 +145,6 @@ NegotiatedScheduler::Group NegotiatedScheduler::open_group() {
   std::lock_guard<std::mutex> lock(mutex_);
   EMBRACE_CHECK(!group_open_, << "an op group is already open");
   group_open_ = true;
-  ++last_group_;
   return Group(*this);
 }
 
@@ -150,10 +161,17 @@ void NegotiatedScheduler::close_group() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     group_open_ = false;
-    // All members become visible in one critical section: a follower that
-    // finds the announced member finds the whole unit.
-    for (const auto& op : staged_) submitted_.emplace(op->desc.name, op);
-    staged_.clear();
+    // All members become visible in one critical section, under one
+    // publication index: a follower that finds the announced member finds
+    // the whole unit.
+    if (!staged_.empty()) {
+      const uint64_t unit = next_unit_++;
+      for (const auto& op : staged_) {
+        op->unit = unit;
+        submitted_.emplace(op->desc.name, op);
+      }
+      staged_.clear();
+    }
   }
   cv_.notify_all();
 }
@@ -236,14 +254,17 @@ std::vector<ExecRecord> NegotiatedScheduler::records() const {
   return records_;
 }
 
-void NegotiatedScheduler::announce(const std::string& name) {
+void NegotiatedScheduler::announce(const std::string& name, int period) {
   static_assert(sizeof(uint64_t) == 8);
   static obs::Counter& announcements = obs::counter("sched.announcements");
   if (name != kStopToken) announcements.increment();
+  const std::string payload =
+      period > 0 ? name + kArmMarker + static_cast<char>(period) : name;
   // One tagged message per peer; the tag is the per-rank announcement index
   // maintained implicitly by both sides walking the same sequence.
   for (int r = 1; r < control_.size(); ++r) {
-    control_.send_bytes_at(r, announce_seq_, to_bytes(control_.pool(), name));
+    control_.send_bytes_at(r, announce_seq_,
+                           to_bytes(control_.pool(), payload));
   }
   ++announce_seq_;
 }
@@ -364,26 +385,79 @@ bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
   return true;
 }
 
-bool NegotiatedScheduler::run_group(const std::shared_ptr<Op>& first) {
-  std::vector<std::shared_ptr<Op>> members;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, op] : submitted_) {
-      if (op->group == first->group) members.push_back(op);
-    }
+bool NegotiatedScheduler::await_work(std::unique_lock<std::mutex>& lock) {
+  cv_.wait(lock, [&] {
+    return !submitted_.empty() || shutdown_requested_ ||
+           abort_.load(std::memory_order_relaxed);
+  });
+  return !abort_.load(std::memory_order_relaxed);
+}
+
+NegotiatedScheduler::Unit NegotiatedScheduler::unit_of(
+    const std::shared_ptr<Op>& op) const {
+  if (!op->grouped) return {op};
+  Unit unit;
+  for (const auto& [name, member] : submitted_) {
+    if (member->unit == op->unit) unit.push_back(member);
   }
-  std::sort(members.begin(), members.end(),
+  std::sort(unit.begin(), unit.end(),
             [](const std::shared_ptr<Op>& a, const std::shared_ptr<Op>& b) {
               return a->desc.priority != b->desc.priority
                          ? a->desc.priority < b->desc.priority
                          : a->seq < b->seq;
             });
-  EMBRACE_CHECK(members.front() == first,
-                << "op group announced as '" << first->desc.name
-                << "' starts with '" << members.front()->desc.name
-                << "' on rank " << control_.rank()
-                << ": ranks must submit matching groups");
-  for (const auto& op : members) {
+  return unit;
+}
+
+NegotiatedScheduler::Unit NegotiatedScheduler::lowest_pending_unit() const {
+  const std::shared_ptr<Op>* lowest = nullptr;
+  for (const auto& [name, op] : submitted_) {
+    if (lowest == nullptr || op->unit < (*lowest)->unit) lowest = &op;
+  }
+  return lowest == nullptr ? Unit{} : unit_of(*lowest);
+}
+
+std::string NegotiatedScheduler::signature(const Unit& unit) {
+  std::string sig;
+  if (!unit.front()->grouped) return sig;
+  for (const auto& op : unit) {
+    bool in_digits = false;
+    for (const char c : op->desc.name) {
+      const bool digit = c >= '0' && c <= '9';
+      if (!digit) {
+        sig += c;
+      } else if (!in_digits) {
+        sig += '#';
+      }
+      in_digits = digit;
+    }
+    sig += kArmMarker;
+    sig += std::to_string(op->slices);
+    sig += kArmMarker;
+  }
+  return sig;
+}
+
+int NegotiatedScheduler::record_announced(const Unit& unit) {
+  announced_.push_back(signature(unit));
+  if (announced_.size() > 2 * kMaxPeriod) announced_.pop_front();
+  if (control_.rank() != 0) return 0;  // followers arm only on the mark
+  // The smallest period P whose last two repeats are the last 2P units,
+  // every one of them a group.
+  const size_t n = announced_.size();
+  for (size_t p = 1; p <= kMaxPeriod && 2 * p <= n; ++p) {
+    bool repeats = true;
+    for (size_t i = n - 2 * p; repeats && i < n - p; ++i) {
+      repeats = !announced_[i].empty() && announced_[i] == announced_[i + p];
+    }
+    if (repeats) return static_cast<int>(p);
+  }
+  return 0;
+}
+
+bool NegotiatedScheduler::run_unit(const Unit& unit) {
+  if (!unit.front()->grouped) return run_slice(unit.front());
+  for (const auto& op : unit) {
     while (op->next_slice < op->slices) {
       if (!run_slice(op)) return false;
     }
@@ -393,25 +467,42 @@ bool NegotiatedScheduler::run_group(const std::shared_ptr<Op>& first) {
 
 void NegotiatedScheduler::run() {
   const bool leader = control_.rank() == 0;
+  static obs::Counter& replayed = obs::counter("sched.replayed");
   // The comm thread inherits its rank's identity so its trace events land
   // in the right per-rank lane group (paper Fig. 6's bottom lane).
   obs::bind_thread(control_.rank(), "comm");
   try {
     while (true) {
-      std::shared_ptr<Op> op;
-      if (leader) {
-        std::string chosen;
+      Unit unit;
+      if (!plan_.empty()) {
+        // Replay: the lowest-index pending unit runs without a message if
+        // it repeats the period. Otherwise every rank leaves replay at
+        // that unit (SPMD submission makes it the same unit everywhere)
+        // and negotiates it below, as it does the stop token of a drained
+        // shutdown.
         {
           std::unique_lock<std::mutex> lock(mutex_);
-          cv_.wait(lock, [&] {
-            return !submitted_.empty() || shutdown_requested_ ||
-                   abort_.load(std::memory_order_relaxed);
-          });
-          if (abort_.load(std::memory_order_relaxed)) return;
-          if (submitted_.empty()) {
-            // shutdown with a drained queue: stop everyone.
-            chosen = kStopToken;
-          } else {
+          if (!await_work(lock)) return;
+          unit = lowest_pending_unit();
+        }
+        if (!unit.empty() && signature(unit) == plan_[plan_pos_]) {
+          plan_pos_ = (plan_pos_ + 1) % plan_.size();
+          if (leader) replayed.increment();
+          if (!run_unit(unit)) return;
+          continue;
+        }
+        plan_.clear();
+        unit.clear();
+      }
+
+      int period = 0;  // the replay period this unit's announcement arms
+      if (leader) {
+        std::string chosen = kStopToken;
+        {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (!await_work(lock)) return;
+          // An empty queue here means shutdown: stop everyone.
+          if (!submitted_.empty()) {
             // Highest priority = smallest (priority, seq). A group is
             // picked through its most urgent member, which it runs first.
             // A plain op is re-picked every quantum: this is the
@@ -426,7 +517,7 @@ void NegotiatedScheduler::run() {
               }
             }
             chosen = best->desc.name;
-            op = submitted_.at(chosen);
+            const std::shared_ptr<Op>& op = submitted_.at(chosen);
             // Switching away from a partially-executed op is a preemption:
             // a more urgent op jumped in at a chunk boundary. active_ is
             // (re)assigned after the slice runs.
@@ -439,34 +530,77 @@ void NegotiatedScheduler::run() {
                                 active_->slices);
               active_.reset();
             }
+            unit = unit_of(op);
           }
         }
-        if (control_.size() > 1) announce(chosen);
-        if (chosen == kStopToken) return;
+        if (!unit.empty()) period = record_announced(unit);
+        if (control_.size() > 1) announce(chosen, period);
+        if (unit.empty()) return;  // the stop token
       } else {
-        const std::string chosen = receive_announcement();
+        std::string chosen = receive_announcement();
         if (chosen.empty()) return;  // aborted
-        if (chosen == kStopToken) return;
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [&] {
-          return submitted_.count(chosen) > 0 ||
-                 abort_.load(std::memory_order_relaxed);
-        });
-        if (abort_.load(std::memory_order_relaxed)) return;
-        op = submitted_.at(chosen);
+        if (chosen == kStopToken) {
+          // The leader drained its queue, so an op still pending here is
+          // one the leader never had: fail it rather than orphan it.
+          std::lock_guard<std::mutex> lock(mutex_);
+          if (submitted_.empty()) return;
+          throw SchedulerError(
+              "rank " + std::to_string(control_.rank()) +
+              " stopped by the leader with op '" +
+              submitted_.begin()->first +
+              "' pending: ranks must submit matching ops");
+        }
+        if (chosen.size() >= 2 && chosen[chosen.size() - 2] == kArmMarker) {
+          period = chosen.back();
+          chosen.resize(chosen.size() - 2);
+        }
+        {
+          // The leader runs the op already, so a local copy that does not
+          // turn up within the recv deadline never will: the ranks
+          // submitted different ops.
+          std::unique_lock<std::mutex> lock(mutex_);
+          const auto submitted = [&] {
+            return submitted_.count(chosen) > 0 ||
+                   abort_.load(std::memory_order_relaxed);
+          };
+          const auto budget = control_.fabric().recv_timeout();
+          if (budget.count() <= 0) {
+            cv_.wait(lock, submitted);
+          } else if (!cv_.wait_for(lock, budget, submitted)) {
+            throw SchedulerError(
+                "rank " + std::to_string(control_.rank()) +
+                " never submitted op '" + chosen +
+                "', which the leader announced, within " +
+                std::to_string(budget.count()) +
+                "us: ranks must submit matching ops");
+          }
+          if (abort_.load(std::memory_order_relaxed)) return;
+          unit = unit_of(submitted_.at(chosen));
+        }
+        EMBRACE_CHECK(unit.front()->desc.name == chosen,
+                      << "op group announced as '" << chosen
+                      << "' starts with '" << unit.front()->desc.name
+                      << "' on rank " << control_.rank()
+                      << ": ranks must submit matching groups");
+        record_announced(unit);
       }
 
-      if (!(op->group != 0 ? run_group(op) : run_slice(op))) return;
+      if (!run_unit(unit)) return;
+      if (period > 0) {
+        plan_.assign(announced_.end() - period, announced_.end());
+        plan_pos_ = 0;
+      }
       if (leader) {
         // Track the partially-executed op: if the next pick differs while
         // this op still has slices left, that pick is a preemption.
         std::lock_guard<std::mutex> lock(mutex_);
+        const std::shared_ptr<Op>& op = unit.front();
         active_ = op->next_slice < op->slices ? op : nullptr;
       }
     }
   } catch (...) {
     // announce()/receive_announcement() threw — dead peer or control-link
-    // deadline — or run_group() found mismatched groups across ranks.
+    // deadline — or a follower found ops the leader's do not match.
     // Everything pending is failed; waiters see the cause.
     fail_all(std::current_exception());
   }

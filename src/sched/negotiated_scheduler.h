@@ -26,9 +26,26 @@
 // Op groups. Ops submitted while a Group is open form one negotiation
 // unit instead: the leader announces the whole unit once, and every rank
 // runs its members back to back, all slices of each. The trainer submits a
-// step's gradient ops as one group, so its control plane costs one
-// announcement per step phase rather than one per op and quantum. "sched.announcements" counts
-// announced units (leader only, stop token excluded).
+// step's gradient ops as one group and its lookup as another.
+// "sched.announcements" counts announced units (leader only, stop token
+// excluded).
+//
+// Replay (Horovod's response cache). Each unit gets a publication index
+// when it becomes visible: a plain op at submit, a group at close(). A
+// group's signature is its members in run order, each as its name with
+// every digit run replaced by '#' plus its slice count; plain ops have
+// none and are never replayed. Once the last 2P announced units (P <= 4)
+// are two repeats of one period of groups, the leader marks that
+// announcement with the period. After the marked unit runs, every rank
+// runs its lowest-index pending unit without any message as long as its
+// signature repeats the period; the first unit that does not (by SPMD
+// submission order, the same unit everywhere) leaves replay and is
+// negotiated as above. So a steady-state step costs no control message.
+// In replay, units run in publication order rather than by the leader's
+// priority pick across pending units; within a unit the order is
+// unchanged. A shutdown with a drained queue leaves replay, and the stop
+// token is announced as usual. "sched.replayed" counts units run without
+// an announcement (leader only).
 //
 // FIFO mode is the same machinery with priority = submission sequence.
 //
@@ -38,15 +55,18 @@
 // SchedulerError — the rest of its group included — and retires the comm
 // thread: Handle::wait() rethrows instead of hanging. A follower whose
 // leader stops announcing while ops are pending times out against the
-// fabric's recv deadline and fails the same way. abort() is the
-// non-collective teardown for error paths: it stops the comm thread
-// without the stop-token negotiation (which would need live peers) and
-// fails all pending handles, staged group members included.
+// fabric's recv deadline and fails the same way, and so does a follower
+// told to run an op it never submits, or told to stop while ops are still
+// pending locally. abort() is the non-collective teardown for error
+// paths: it stops the comm thread without the stop-token negotiation
+// (which would need live peers) and fails all pending handles, staged
+// group members included.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -78,8 +98,9 @@ class NegotiatedScheduler {
   // Enqueues an op as `slices` >= 1 ordered quanta (execution contract in
   // sched/scheduler.h). `desc.name` and `slices` must be identical across
   // ranks for the same logical op; names must be unique among unexecuted
-  // ops. Throws SchedulerError once the scheduler has failed or been
-  // aborted.
+  // ops and must not contain the byte '\x02', which marks an arming
+  // announcement. Throws SchedulerError once the scheduler has failed or
+  // been aborted.
   Handle submit(OpDesc desc, int64_t slices, SliceFn body);
 
   // Whole-op convenience: one slice, body takes no index.
@@ -87,15 +108,16 @@ class NegotiatedScheduler {
 
   // An open op group. Ops submitted while it is open (from any thread) get
   // their Handle at once but stay invisible to the comm thread until
-  // close() publishes them together as one negotiation unit. The leader
-  // picks units by (lowest member priority, submission order) and
-  // announces each once, naming its first member; every rank then runs the
-  // members in (priority, submission) order, all slices of each, without
-  // re-picking in between — so members' priorities and submission order
-  // must agree across ranks. Each member keeps its own ExecRecord, trace
-  // span and Handle, and completes as soon as it finishes. Destroying a
-  // group that was not closed (an exception between open and close) fails
-  // its staged ops: a partial group is never published.
+  // close() publishes them together as one negotiation unit. Outside
+  // replay the leader picks units by (lowest member priority, submission
+  // order) and announces each once, naming its first member; every rank
+  // then runs the members in (priority, submission) order, all slices of
+  // each, without re-picking in between — so members' names, slice
+  // counts, priorities and submission order must agree across ranks. Each
+  // member keeps its own ExecRecord, trace span and Handle, and completes
+  // as soon as it finishes. Destroying a group that was not closed (an
+  // exception between open and close) fails its staged ops: a partial
+  // group is never published.
   class Group {
    public:
     Group(const Group&) = delete;
@@ -139,19 +161,35 @@ class NegotiatedScheduler {
 
  private:
   struct Op;
+  // A negotiation unit in run order: a group's members, or one plain op.
+  using Unit = std::vector<std::shared_ptr<Op>>;
   void run();
-  void announce(const std::string& name);
+  // Sends `name` to every follower; a nonzero `period` arms replay.
+  void announce(const std::string& name, int period);
   // Polls for the leader's announcement in abortable slices. Applies the
   // fabric's recv deadline only while ops are pending locally (the leader
   // should be announcing then); an idle scheduler may wait forever.
   // Returns empty if aborted.
   std::string receive_announcement();
+  // Waits on `lock` (held on mutex_) until an op is pending, shutdown was
+  // requested or the scheduler aborted. Returns false if it aborted.
+  bool await_work(std::unique_lock<std::mutex>& lock);
+  // The unit `op` belongs to. Caller holds mutex_.
+  Unit unit_of(const std::shared_ptr<Op>& op) const;
+  // The pending unit with the lowest publication index, or an empty one if
+  // nothing is pending. Caller holds mutex_.
+  Unit lowest_pending_unit() const;
+  // A group's replay signature; "" for a plain op, which never replays.
+  static std::string signature(const Unit& unit);
+  // Appends an announced unit's signature to announced_. On the leader,
+  // returns the replay period its announcement arms, or 0.
+  int record_announced(const Unit& unit);
   // Runs one quantum of `op` on the comm thread. Returns false if the
   // scheduler failed (the comm thread must retire).
   bool run_slice(const std::shared_ptr<Op>& op);
-  // Runs every slice of every member of the group `first` opened, in
-  // (priority, submission) order. Returns false if the scheduler failed.
-  bool run_group(const std::shared_ptr<Op>& first);
+  // Runs a group's members, all slices of each, or one quantum of a plain
+  // op. Returns false if the scheduler failed.
+  bool run_unit(const Unit& unit);
   // Group::close() and the unclosed Group's destructor.
   void close_group();
   void discard_group();
@@ -171,13 +209,19 @@ class NegotiatedScheduler {
   // Members of the open group, not yet visible to the comm thread.
   std::vector<std::shared_ptr<Op>> staged_;
   bool group_open_ = false;
-  uint64_t last_group_ = 0;  // id of the latest group; 0 marks a plain op
+  uint64_t next_unit_ = 0;  // the next publication index
   uint64_t next_seq_ = 0;
   bool shutdown_requested_ = false;
   std::atomic<bool> abort_{false};
   std::exception_ptr failed_;  // guarded by mutex_; terminal once set
   // Announcement index; only touched by the comm thread.
   uint64_t announce_seq_ = 0;
+  // Comm thread only: signatures of the latest announced units, oldest
+  // first ("" for a plain op's quantum), and the armed replay period with
+  // the position of the next unit in it (empty when not replaying).
+  std::deque<std::string> announced_;
+  std::vector<std::string> plan_;
+  size_t plan_pos_ = 0;
   // Leader only (comm thread): the partially-executed op whose slice ran
   // last — announcing a different op while set is a preemption.
   std::shared_ptr<Op> active_;

@@ -306,5 +306,76 @@ TEST(NegotiatedFailure, FollowerTimesOutWhenLeaderStopsAnnouncing) {
   });
 }
 
+TEST(NegotiatedFailure, FollowerTimesOutWhenAnnouncedOpNeverSubmitted) {
+  // Rank 0 submits and runs an op that rank 1 never submits. Rank 1's comm
+  // thread is told to run it; with the fabric deadline armed it must fail
+  // within the budget, naming the op and itself, instead of waiting for
+  // its local copy forever (which also hung shutdown()).
+  constexpr int kRanks = 2;
+  comm::Fabric fabric(kRanks);
+  fabric.set_recv_timeout(std::chrono::milliseconds(100));
+  run_cluster(fabric, [&](Communicator& comm) {
+    NegotiatedScheduler sched(comm.channel(0));
+    if (comm.rank() == 0) {
+      submit(sched, 1.0, "ghost", [] {}).wait();
+      sched.shutdown();
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!sched.failed() &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(sched.failed());
+    EXPECT_THROW(
+        {
+          try {
+            submit(sched, 2.0, "late", [] {});
+          } catch (const SchedulerError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'ghost'"), std::string::npos) << what;
+            EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+            throw;
+          }
+        },
+        SchedulerError);
+    sched.abort();
+  });
+}
+
+TEST(NegotiatedFailure, FollowerFailsOpsPendingAtStopToken) {
+  // Rank 1 submits an op that rank 0 never submits, and rank 0 shuts down:
+  // its drained queue sends the stop token. Rank 1's op can never run, so
+  // it must fail with a typed error instead of leaving its waiter hung.
+  constexpr int kRanks = 2;
+  std::atomic<bool> submitted{false};
+  run_cluster(kRanks, [&](Communicator& comm) {
+    NegotiatedScheduler sched(comm.channel(0));
+    if (comm.rank() == 0) {
+      while (!submitted) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      sched.shutdown();
+      return;
+    }
+    auto h = submit(sched, 1.0, "orphan", [] { FAIL() << "never announced"; });
+    submitted = true;
+    EXPECT_THROW(
+        {
+          try {
+            h.wait();
+          } catch (const SchedulerError& e) {
+            EXPECT_NE(std::string(e.what()).find("stopped by the leader"),
+                      std::string::npos)
+                << e.what();
+            throw;
+          }
+        },
+        SchedulerError);
+    EXPECT_TRUE(sched.failed());
+    sched.abort();
+  });
+}
+
 }  // namespace
 }  // namespace embrace::sched

@@ -1,7 +1,8 @@
 // Scheduler conformance suite: every test body runs on every rank of a
 // NegotiatedScheduler cluster at worlds 1 through 4 — typed OpDesc submit,
-// chunked slices, preemption at chunk boundaries, op groups, failure
-// propagation, drain, name reuse, and overlap with the training thread.
+// chunked slices, preemption at chunk boundaries, op groups, replay of
+// repeated groups without announcements, failure propagation, drain, name
+// reuse, and overlap with the training thread.
 // At world 1 the leader's own queue is the whole story; at worlds 2-4
 // followers execute the leader's announced order, so each body's per-rank
 // expectations also pin that order. A final multi-rank test pins the preemption contract
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -44,8 +46,11 @@ struct Conformance : ::testing::TestWithParam<int> {
       body(s);
     }));
   }
-  void run(const CommBody& body) const {
+  // A nonzero `recv_timeout` arms the fabric's receive deadline.
+  void run(const CommBody& body,
+           std::chrono::microseconds recv_timeout = {}) const {
     comm::Fabric fabric(GetParam());
+    fabric.set_recv_timeout(recv_timeout);
     comm::run_cluster(fabric, [&](comm::Communicator& c) {
       NegotiatedScheduler scheduler(c.channel(0));
       c.channel(1).barrier();
@@ -71,6 +76,25 @@ int64_t preemptions() { return obs::counter("sched.preemptions").value(); }
 
 int64_t announcements() {
   return obs::counter("sched.announcements").value();
+}
+
+int64_t replayed() { return obs::counter("sched.replayed").value(); }
+
+// Submits step `step`'s op group: one op "<name>/s<step>" per name, with
+// `slices` slices each and priorities in name order.
+std::vector<Handle> submit_group(NegotiatedScheduler& s, int step,
+                                 std::initializer_list<const char*> names,
+                                 int64_t slices = 1) {
+  std::vector<Handle> handles;
+  NegotiatedScheduler::Group group = s.open_group();
+  double priority = 10.0 * step;
+  for (const char* name : names) {
+    handles.push_back(s.submit(
+        desc(std::string(name) + "/s" + std::to_string(step), priority++),
+        slices, [](int64_t) {}));
+  }
+  group.close();
+  return handles;
 }
 
 // Polls until `flag` is set.
@@ -418,6 +442,219 @@ TEST_P(Conformance, GroupRejectsDuplicateNamesAndNesting) {
     EXPECT_TRUE(gate.done() && p.done());
     EXPECT_EQ(s.records().size(), 3u);
   });
+}
+
+TEST_P(Conformance, RepeatedGroupsReplayWithoutAnnouncements) {
+  const int world = GetParam();
+  const int64_t announced0 = announcements();
+  const int64_t replayed0 = replayed();
+  std::mutex mu;
+  std::vector<std::vector<std::string>> logs(static_cast<size_t>(world));
+  run(CommBody([&](NegotiatedScheduler& s, comm::Communicator& c) {
+    // Rank 0 is the leader, and the bodies send nothing themselves, so its
+    // sent messages are its announcements.
+    const auto sent = [&] { return c.fabric().traffic_from(0).messages; };
+    const int64_t sent0 = sent();
+    // Two repeats of a period of two groups, the trainer's lookup and
+    // gradient groups: the last announcement arms replay.
+    for (int step = 8; step < 10; ++step) {
+      submit_group(s, step, {"lookup"});
+      submit_group(s, step, {"grad", "dense"}, 3);
+      s.drain();
+    }
+    const int64_t armed = sent();
+    // Steady state, submitted back to back and across a digit-count change
+    // in the names: no message at all.
+    for (int step = 10; step < 14; ++step) {
+      submit_group(s, step, {"lookup"});
+      submit_group(s, step, {"grad", "dense"}, 3);
+    }
+    s.drain();
+    if (c.rank() == 0) {
+      EXPECT_EQ(armed - sent0, 4 * (world - 1));
+      EXPECT_EQ(sent(), armed);
+    }
+    std::vector<std::string> names;
+    for (const auto& r : s.records()) names.push_back(r.name);
+    std::lock_guard<std::mutex> lock(mu);
+    logs[static_cast<size_t>(c.rank())] = std::move(names);
+  }));
+  std::vector<std::string> want;
+  for (int step = 8; step < 14; ++step) {
+    for (const char* name : {"lookup", "grad", "dense"}) {
+      want.push_back(std::string(name) + "/s" + std::to_string(step));
+    }
+  }
+  for (int r = 0; r < world; ++r) {
+    EXPECT_EQ(logs[static_cast<size_t>(r)], want) << "rank " << r;
+  }
+  // Leader only; nothing is announced at world 1.
+  EXPECT_EQ(announcements() - announced0, world > 1 ? 4 : 0);
+  EXPECT_EQ(replayed() - replayed0, 8);
+}
+
+TEST_P(Conformance, ChangedSignatureCostsOneAnnouncementThenRearms) {
+  const int world = GetParam();
+  const int64_t announced0 = announcements();
+  const int64_t replayed0 = replayed();
+  run(CommBody([world](NegotiatedScheduler& s, comm::Communicator& c) {
+    const auto sent = [&] { return c.fabric().traffic_from(0).messages; };
+    const auto step = [&](int i, std::initializer_list<const char*> names) {
+      submit_group(s, i, names);
+      s.drain();
+      return sent();
+    };
+    const int64_t sent0 = sent();
+    step(0, {"a"});
+    const int64_t armed = step(1, {"a"});
+    const int64_t replay_a = step(2, {"a"});
+    // One more member: the signature differs, so the unit leaves replay
+    // and is announced once.
+    const int64_t changed = step(3, {"a", "b"});
+    // Its repeat is announced with the mark and re-arms replay.
+    const int64_t rearmed = step(4, {"a", "b"});
+    step(5, {"a", "b"});
+    const int64_t steady = step(6, {"a", "b"});
+    if (c.rank() == 0) {
+      EXPECT_EQ(armed - sent0, 2 * (world - 1));
+      EXPECT_EQ(replay_a, armed);
+      EXPECT_EQ(changed - replay_a, world - 1);
+      EXPECT_EQ(rearmed - changed, world - 1);
+      EXPECT_EQ(steady, rearmed);
+    }
+    EXPECT_EQ(s.records().size(), 3u + 4u * 2u);
+  }));
+  EXPECT_EQ(announcements() - announced0, world > 1 ? 4 : 0);
+  EXPECT_EQ(replayed() - replayed0, 3);
+}
+
+TEST_P(Conformance, PlainChunkedOpDuringReplayIsAnnouncedPerQuantum) {
+  const int world = GetParam();
+  const int64_t announced0 = announcements();
+  const int64_t replayed0 = replayed();
+  run(CommBody([world](NegotiatedScheduler& s, comm::Communicator& c) {
+    const auto sent = [&] { return c.fabric().traffic_from(0).messages; };
+    for (int step = 0; step < 3; ++step) {
+      submit_group(s, step, {"g"});
+      s.drain();
+    }
+    const int64_t replaying = sent();
+    // A plain op has no signature: it leaves replay and keeps its
+    // per-quantum negotiation.
+    s.submit(desc("plain", 100.0), 4, [](int64_t) {});
+    s.drain();
+    const int64_t plain = sent();
+    // The groups are negotiated again until they repeat.
+    for (int step = 3; step < 5; ++step) {
+      submit_group(s, step, {"g"});
+      s.drain();
+    }
+    const int64_t rearmed = sent();
+    submit_group(s, 5, {"g"});
+    s.drain();
+    if (c.rank() == 0) {
+      EXPECT_EQ(plain - replaying, 4 * (world - 1));
+      EXPECT_EQ(rearmed - plain, 2 * (world - 1));
+      EXPECT_EQ(sent(), rearmed);
+    }
+    EXPECT_EQ(s.records().size(), 7u);
+  }));
+  EXPECT_EQ(announcements() - announced0, world > 1 ? 2 + 4 + 2 : 0);
+  EXPECT_EQ(replayed() - replayed0, 2);
+}
+
+TEST_P(Conformance, ShutdownWhileReplayingRunsBacklogAndStops) {
+  run([](NegotiatedScheduler& s) {
+    for (int step = 0; step < 2; ++step) {
+      submit_group(s, step, {"x", "y"});
+      s.drain();
+    }
+    std::vector<Handle> backlog;
+    for (int step = 2; step < 5; ++step) {
+      for (Handle& h : submit_group(s, step, {"x", "y"})) {
+        backlog.push_back(std::move(h));
+      }
+    }
+    // Replays the backlog, then leaves replay on the drained queue and
+    // stops every rank with the stop token.
+    s.shutdown();
+    for (const Handle& h : backlog) {
+      EXPECT_TRUE(h.done());
+      EXPECT_FALSE(h.failed());
+    }
+    EXPECT_EQ(s.records().size(), 10u);
+  });
+}
+
+TEST_P(Conformance, AbortWhileReplayingDoesNotWedge) {
+  run([](NegotiatedScheduler& s) {
+    for (int step = 0; step < 2; ++step) {
+      submit_group(s, step, {"x"});
+      s.drain();
+    }
+    // A replayed unit is running and another is pending when every rank
+    // aborts locally: the running one finishes, the pending one fails.
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    Handle running;
+    {
+      NegotiatedScheduler::Group group = s.open_group();
+      running = s.submit(desc("x/s2", 20.0), [&] {
+        started = true;
+        await(release);
+      });
+      group.close();
+    }
+    std::vector<Handle> pending = submit_group(s, 3, {"x"});
+    await(started);
+    std::thread releaser([&] {
+      while (!s.failed()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      release = true;
+    });
+    s.abort();
+    releaser.join();
+    EXPECT_NO_THROW(running.wait());
+    EXPECT_THROW(pending[0].wait(), SchedulerError);
+    EXPECT_THROW(submit_group(s, 4, {"x"}), SchedulerError);
+    EXPECT_EQ(s.records().size(), 3u);
+  });
+}
+
+TEST_P(Conformance, AsymmetricSubmissionDuringReplayFailsWithinDeadline) {
+  const int world = GetParam();
+  std::atomic<int> followers_failed{0};
+  run(
+      CommBody([&](NegotiatedScheduler& s, comm::Communicator& c) {
+        for (int step = 0; step < 2; ++step) {
+          submit_group(s, step, {"g"});
+          s.drain();
+        }
+        // Rank 0 submits the next repeat and replays it without a message.
+        // Every other rank submits a different group: it leaves replay and
+        // waits for an announcement that never comes.
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<Handle> h =
+            submit_group(s, 2, {c.rank() == 0 ? "g" : "h"});
+        if (c.rank() == 0) {
+          EXPECT_NO_THROW(h[0].wait());
+          // Shut down only once the followers failed on their own.
+          while (followers_failed < world - 1 &&
+                 std::chrono::steady_clock::now() - t0 <
+                     std::chrono::seconds(5)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          return;
+        }
+        EXPECT_THROW(h[0].wait(), SchedulerError);
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(5));
+        EXPECT_TRUE(s.failed());
+        ++followers_failed;
+      }),
+      std::chrono::milliseconds(500));
+  EXPECT_EQ(followers_failed, world - 1);
 }
 
 TEST_P(Conformance, DrainWaitsForEverySubmittedOp) {

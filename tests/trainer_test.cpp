@@ -266,16 +266,24 @@ TEST(Trainer, OneDenseOpPerStep) {
 }
 
 TEST(Trainer, ControlTrafficPerStep) {
-  // A step's gradient ops are one op group, announced once, and the losses
-  // are averaged by one allgather after the run instead of an allreduce
-  // per step. So the leader announces one unit per step, plus the lookup
-  // for the strategies that run it as an op, and the only allreduce left
-  // is Horovod-AllGather's density stats, one per step for every table.
+  // A step's gradient ops are one op group, the hybrid strategies' lookup
+  // is another, and the losses are averaged by one allgather after the run
+  // instead of an allreduce per step. The leader announces each unit until
+  // the last two periods of units repeat; it marks that announcement, and
+  // from then on every rank replays the units without a message until one
+  // differs. At 4 steps the Horovod and PS strategies announce 2 units
+  // (their step's group twice), noVSS 4 (lookup and group twice), and
+  // EmbRace 5: its last step's group also carries the standalone delayed
+  // op, so it differs and is announced. With the hot-row cache on, every
+  // EmbRace step carries a delayed op, and it announces 4. Every unit is
+  // either announced or replayed. The only allreduce left is
+  // Horovod-AllGather's density stats, one per step for every table.
   // Horovod-AllReduce gathers every table's touched rows in one allgatherv
   // per step. Every member of a group runs to completion, so no op is ever
   // preempted.
   constexpr int kWorkers = 4;
   obs::Counter& announced = obs::counter("sched.announcements");
+  obs::Counter& replayed = obs::counter("sched.replayed");
   obs::Counter& preemptions = obs::counter("sched.preemptions");
   obs::Counter& allreduces = obs::counter("comm.calls{collective=allreduce}");
   obs::Counter& allgathers = obs::counter("comm.calls{collective=allgather}");
@@ -283,38 +291,49 @@ TEST(Trainer, ControlTrafficPerStep) {
       obs::counter("comm.calls{collective=allgatherv}");
   for (int si = 0; si < 6; ++si) {
     const auto s = static_cast<StrategyKind>(si);
-    TrainConfig cfg = base_config();
-    cfg.strategy = s;
-    if (needs_sgd(s)) cfg.optim = OptimKind::kSgd;
-    cfg.num_tables = 2;
-    cfg.min_sentence_len = 4;
-    cfg.steps = 4;
-    const auto oracle = run_oracle(cfg, kWorkers);
     const bool lookup_op = s == StrategyKind::kEmbRace ||
                            s == StrategyKind::kEmbRaceNoVss;
-    const int64_t stats_allreduces =
-        s == StrategyKind::kHorovodAllGather ? int64_t{kWorkers} * cfg.steps
-                                             : 0;
-    for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
-      cfg.chunk_bytes = chunk;
-      SCOPED_TRACE(std::string(strategy_kind_name(s)) +
-                   " chunk=" + std::to_string(chunk));
-      const int64_t announced0 = announced.value();
-      const int64_t allreduces0 = allreduces.value();
-      const int64_t allgathers0 = allgathers.value();
-      const int64_t allgathervs0 = allgathervs.value();
-      const int64_t preemptions0 = preemptions.value();
-      const auto dist = run_distributed(cfg, kWorkers);
-      EXPECT_EQ(preemptions.value() - preemptions0, 0);
-      EXPECT_EQ(announced.value() - announced0,
-                int64_t{cfg.steps} * (lookup_op ? 2 : 1));
-      EXPECT_EQ(allreduces.value() - allreduces0, stats_allreduces);
-      EXPECT_EQ(allgathers.value() - allgathers0, kWorkers);
-      if (s == StrategyKind::kHorovodAllReduce) {
-        EXPECT_EQ(allgathervs.value() - allgathervs0,
-                  int64_t{kWorkers} * cfg.steps);
+    for (const bool cache : {false, true}) {
+      if (cache && !lookup_op) continue;  // the cache is hybrid-only
+      TrainConfig cfg = base_config();
+      cfg.strategy = s;
+      if (needs_sgd(s)) cfg.optim = OptimKind::kSgd;
+      cfg.num_tables = 2;
+      cfg.min_sentence_len = 4;
+      cfg.steps = 4;
+      if (cache) cfg.cache_frac = 0.05;
+      const auto oracle = run_oracle(cfg, kWorkers);
+      const int64_t units = int64_t{cfg.steps} * (lookup_op ? 2 : 1);
+      const int64_t want_announced =
+          !lookup_op ? 2 : (s == StrategyKind::kEmbRace && !cache ? 5 : 4);
+      const int64_t stats_allreduces =
+          s == StrategyKind::kHorovodAllGather ? int64_t{kWorkers} * cfg.steps
+                                               : 0;
+      for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+        cfg.chunk_bytes = chunk;
+        SCOPED_TRACE(std::string(strategy_kind_name(s)) +
+                     " chunk=" + std::to_string(chunk) +
+                     (cache ? " cache" : ""));
+        const int64_t announced0 = announced.value();
+        const int64_t replayed0 = replayed.value();
+        const int64_t allreduces0 = allreduces.value();
+        const int64_t allgathers0 = allgathers.value();
+        const int64_t allgathervs0 = allgathervs.value();
+        const int64_t preemptions0 = preemptions.value();
+        const auto dist = run_distributed(cfg, kWorkers);
+        EXPECT_EQ(preemptions.value() - preemptions0, 0);
+        EXPECT_EQ(announced.value() - announced0, want_announced);
+        EXPECT_EQ(announced.value() - announced0 +
+                      (replayed.value() - replayed0),
+                  units);
+        EXPECT_EQ(allreduces.value() - allreduces0, stats_allreduces);
+        EXPECT_EQ(allgathers.value() - allgathers0, kWorkers);
+        if (s == StrategyKind::kHorovodAllReduce) {
+          EXPECT_EQ(allgathervs.value() - allgathervs0,
+                    int64_t{kWorkers} * cfg.steps);
+        }
+        expect_losses_close(dist.losses, oracle.losses, 2e-3f);
       }
-      expect_losses_close(dist.losses, oracle.losses, 2e-3f);
     }
   }
 }
