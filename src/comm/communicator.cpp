@@ -443,13 +443,19 @@ std::vector<SharedBytes> Communicator::allgatherv_shared_impl(Bytes mine) {
   // Pairwise exchange: every rank ships its full payload to every peer —
   // the (N−1)·αM traffic pattern the paper attributes to sparse AllGather.
   // All N−1 sends alias one buffer and every receiver reads the sender's
-  // bytes in place, so the pattern costs zero host-side copies.
+  // bytes in place, so the pattern costs zero host-side copies. Every send
+  // is posted before the first receive, so the exchange is one round on
+  // the wire: the N−1 messages share one α.
+  if (n == 1) return out;
+  const uint64_t first = reserve_tags(n - 1);
   for (int s = 1; s < n; ++s) {
-    const uint64_t tag = next_tag();
-    const int to = (rank_ + s) % n;
+    fabric_->send_shared(global_rank_, global((rank_ + s) % n),
+                         first + static_cast<uint64_t>(s - 1), shared);
+  }
+  for (int s = 1; s < n; ++s) {
     const int from = (rank_ - s + n) % n;
-    fabric_->send_shared(global_rank_, global(to), tag, shared);
-    out[static_cast<size_t>(from)] = checked_recv_shared(from, tag);
+    out[static_cast<size_t>(from)] =
+        checked_recv_shared(from, first + static_cast<uint64_t>(s - 1));
   }
   return out;
 }
@@ -497,15 +503,22 @@ std::vector<Bytes> Communicator::alltoallv_impl(std::vector<Bytes> send) {
   EMBRACE_CHECK_EQ(static_cast<int>(send.size()), n);
   std::vector<Bytes> out(static_cast<size_t>(n));
   out[static_cast<size_t>(rank_)] = std::move(send[static_cast<size_t>(rank_)]);
-  // Pairwise exchange with N-1 rounds; peer pattern (rank ± s) avoids
-  // hot-spotting any single destination in a given round.
+  // Pairwise exchange in one round: all N−1 sends are posted before the
+  // first receive, so their α overlaps on the wire. Step s sends to
+  // rank + s and receives from rank − s under its own tag; the peer
+  // pattern spreads each step's messages over distinct destinations.
+  if (n == 1) return out;
+  const uint64_t first = reserve_tags(n - 1);
   for (int s = 1; s < n; ++s) {
-    const uint64_t tag = next_tag();
     const int to = (rank_ + s) % n;
-    const int from = (rank_ - s + n) % n;
-    fabric_->send(global_rank_, global(to), tag,
+    fabric_->send(global_rank_, global(to),
+                  first + static_cast<uint64_t>(s - 1),
                   std::move(send[static_cast<size_t>(to)]));
-    out[static_cast<size_t>(from)] = checked_recv(from, tag);
+  }
+  for (int s = 1; s < n; ++s) {
+    const int from = (rank_ - s + n) % n;
+    out[static_cast<size_t>(from)] =
+        checked_recv(from, first + static_cast<uint64_t>(s - 1));
   }
   return out;
 }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -16,33 +19,30 @@ namespace {
 // Bucket edges for recv-side blocking time (microseconds).
 constexpr double kWaitEdgesUs[] = {1.0,   10.0,   100.0,   1000.0,
                                    1e4,   1e5,    1e6};
+// Bucket edges for how late a receive wakes after a message's ready time.
+constexpr double kLateEdgesUs[] = {1.0, 5.0, 20.0, 100.0, 1000.0, 1e4};
 
-// Holds the calling thread for ~`us` microseconds with much better accuracy
-// than sleep_for alone: the OS sleep covers the bulk, a spin covers the
-// scheduler-granularity tail. Link-cost emulation needs this — a 50 µs α
-// would otherwise round up to a multi-hundred-µs timer tick and the fitted
-// latency would be noise, not the configured value.
-void precise_sleep_us(double us) {
-  if (us <= 0.0) return;
-  // Clamp absurd requests: duration_cast of a huge double would overflow
-  // the clock's integral representation and wrap the deadline negative.
-  constexpr double kMaxSleepUs = 3.6e9;  // one hour
-  us = std::min(us, kMaxSleepUs);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto deadline = t0 + std::chrono::duration_cast<
-                                 std::chrono::steady_clock::duration>(
-                                 std::chrono::duration<double, std::micro>(us));
-  constexpr auto kSpinWindow = std::chrono::microseconds(100);
-  // Requests shorter than the spin window skip the OS sleep entirely:
-  // deadline - kSpinWindow would be a time already in the past, and cheap
-  // intra-node tier costs are routinely a few µs.
-  const auto sleep_target = deadline - kSpinWindow;
-  if (sleep_target > t0) {
-    std::this_thread::sleep_until(sleep_target);
-  }
-  while (std::chrono::steady_clock::now() < deadline) {
-    // spin the tail
-  }
+// A timed condvar wait on Linux wakes up to the thread's timer slack late
+// (50 µs by default), as large as the workloads' α. Waits for a message's
+// ready time run with 1 ns of slack instead; the setting is per thread and
+// applies to this process only.
+void tighten_timer_slack() {
+#ifdef __linux__
+  thread_local bool done = false;
+  if (done) return;
+  done = true;
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+}
+
+// `us` microseconds in steady_clock ticks. Absurd costs are clamped to an
+// hour: duration_cast of a huge double would overflow the clock's integral
+// representation.
+int64_t ticks(double us) {
+  constexpr double kMaxUs = 3.6e9;
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double, std::micro>(std::min(us, kMaxUs)))
+      .count();
 }
 
 uint64_t splitmix64(uint64_t z) {
@@ -79,6 +79,10 @@ Fabric::Fabric(int num_ranks)
   }
   link_cfg_.resize(links);
   link_cost_.resize(links);
+  egress_free_.reserve(static_cast<size_t>(num_ranks) * 2);
+  for (int i = 0; i < num_ranks * 2; ++i) {
+    egress_free_.push_back(std::make_unique<std::atomic<int64_t>>(0));
+  }
 }
 
 uint64_t Fabric::key(int src, uint64_t tag) {
@@ -203,31 +207,50 @@ void Fabric::send_shared(int src, int dst, uint64_t tag, SharedBytes msg) {
   deliver(src, dst, tag, std::move(env));
 }
 
+std::chrono::steady_clock::time_point Fabric::stamp_ready(
+    int src, int dst, size_t bytes, std::chrono::steady_clock::time_point now) {
+  using Clock = std::chrono::steady_clock;
+  const LinkCost& cost =
+      link_cost_[static_cast<size_t>(src) * num_ranks_ + dst];
+  if (!cost.any()) return now;
+  const int64_t wire = ticks(cost.wire_us(bytes));
+  const int64_t start = now.time_since_epoch().count();
+  std::atomic<int64_t>& egress =
+      *egress_free_[static_cast<size_t>(src) * 2 +
+                    (same_node(src, dst) ? 0 : 1)];
+  int64_t free = egress.load(std::memory_order_relaxed);
+  int64_t done = 0;
+  do {
+    done = std::max(start, free) + wire;
+  } while (!egress.compare_exchange_weak(free, done,
+                                         std::memory_order_relaxed));
+  return Clock::time_point(Clock::duration(done + ticks(cost.alpha_us)));
+}
+
 void Fabric::deliver(int src, int dst, uint64_t tag, Envelope env) {
   EMBRACE_CHECK(src >= 0 && src < num_ranks_, << "bad src rank " << src);
   EMBRACE_CHECK(dst >= 0 && dst < num_ranks_, << "bad dst rank " << dst);
-  const auto deliver_t0 = std::chrono::steady_clock::now();
   FaultDecision fault;
-  if (faults_enabled()) {
-    fault = roll_faults(src, dst);
-    if (fault.delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(fault.delay_us));
+  if (faults_enabled()) fault = roll_faults(src, dst);
+  // α–β link emulation: stamp the time the message lands and return; the
+  // receive side waits for it. Self deliveries are a local memcpy, not a
+  // wire — never charged. Nothing reads the clock when nothing delays the
+  // message and the profiler is off.
+  const bool charged = src != dst && link_costs_enabled();
+  const bool profiled = src != dst && obs::link_profiler().enabled();
+  if (charged || profiled || fault.delay_us > 0) {
+    const auto now = std::chrono::steady_clock::now();
+    env.ready_at = charged ? stamp_ready(src, dst, env.size(), now) : now;
+    env.ready_at += std::chrono::microseconds(fault.delay_us);
+    // The profiler samples the modelled wire time, egress queueing
+    // included. How late receivers wake is host noise, kept apart in the
+    // "fabric.recv.late_us" histogram.
+    if (profiled) {
+      obs::link_profiler().record(
+          src, dst, static_cast<int64_t>(env.size()),
+          std::chrono::duration<double, std::micro>(env.ready_at - now)
+              .count());
     }
-  }
-  // α–β link emulation: occupy the sender for the modeled wire time. Self
-  // deliveries are a local memcpy, not a wire — never charged.
-  if (src != dst && link_costs_enabled()) {
-    const LinkCost& cost =
-        link_cost_[static_cast<size_t>(src) * num_ranks_ + dst];
-    if (cost.any()) precise_sleep_us(cost.cost_us(env.size()));
-  }
-  // The profiler samples the *measured* delivery time (emulated wire cost
-  // plus real overhead), which is exactly what a fit must recover.
-  if (src != dst && obs::link_profiler().enabled()) {
-    const auto t1 = std::chrono::steady_clock::now();
-    obs::link_profiler().record(
-        src, dst, static_cast<int64_t>(env.size()),
-        std::chrono::duration<double, std::micro>(t1 - deliver_t0).count());
   }
   auto& c = *counters_[static_cast<size_t>(src) * num_ranks_ + dst];
   c.messages.fetch_add(1, std::memory_order_relaxed);
@@ -274,6 +297,7 @@ void Fabric::deliver(int src, int dst, uint64_t tag, Envelope env) {
       dup.id = env.id;
       dup.owned = env.owned;
       dup.shared = env.shared;
+      dup.ready_at = env.ready_at;
       q.push_back(std::move(dup));
     }
     if (fault.reorder && !q.empty()) {
@@ -315,8 +339,14 @@ Bytes Fabric::unwrap(Envelope&& env, int dst) {
   return out;
 }
 
+SharedBytes Fabric::share(Envelope&& env) {
+  if (env.shared) return std::move(env.shared);
+  return std::make_shared<Bytes>(std::move(env.owned));
+}
+
 void Fabric::record_recv(int src, int dst, size_t bytes,
-                         std::chrono::steady_clock::time_point t0) {
+                         std::chrono::steady_clock::time_point t0,
+                         std::chrono::steady_clock::time_point waited_for) {
   const auto t1 = std::chrono::steady_clock::now();
   auto& c = *recv_counters_[static_cast<size_t>(src) * num_ranks_ + dst];
   c.messages.fetch_add(1, std::memory_order_relaxed);
@@ -325,84 +355,83 @@ void Fabric::record_recv(int src, int dst, size_t bytes,
   static obs::Counter& recv_bytes = obs::counter("fabric.recv.bytes");
   static obs::Histogram& wait_us =
       obs::histogram("fabric.recv.wait_us", kWaitEdgesUs);
+  static obs::Histogram& late_us =
+      obs::histogram("fabric.recv.late_us", kLateEdgesUs);
   recv_messages.increment();
   recv_bytes.add(static_cast<int64_t>(bytes));
   wait_us.observe(
       std::chrono::duration<double, std::micro>(t1 - t0).count());
+  if (waited_for != std::chrono::steady_clock::time_point{}) {
+    late_us.observe(
+        std::chrono::duration<double, std::micro>(t1 - waited_for).count());
+  }
 }
 
 Bytes Fabric::recv(int dst, int src, uint64_t tag) {
-  EMBRACE_CHECK(src >= 0 && src < num_ranks_, << "bad src rank " << src);
-  EMBRACE_CHECK(dst >= 0 && dst < num_ranks_, << "bad dst rank " << dst);
-  Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
-  const uint64_t k = key(src, tag);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(box.mutex);
-  box.cv.wait(lock, [&] {
-    auto it = box.queues.find(k);
-    return it != box.queues.end() && !it->second.empty();
-  });
-  Envelope env = pop_locked(box, k);
-  lock.unlock();
-  record_recv(src, dst, env.size(), t0);
-  return unwrap(std::move(env), dst);
+  return unwrap(*pop_ready(dst, src, tag, std::nullopt), dst);
 }
 
 SharedBytes Fabric::recv_shared(int dst, int src, uint64_t tag) {
-  EMBRACE_CHECK(src >= 0 && src < num_ranks_, << "bad src rank " << src);
-  EMBRACE_CHECK(dst >= 0 && dst < num_ranks_, << "bad dst rank " << dst);
-  Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
-  const uint64_t k = key(src, tag);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(box.mutex);
-  box.cv.wait(lock, [&] {
-    auto it = box.queues.find(k);
-    return it != box.queues.end() && !it->second.empty();
-  });
-  Envelope env = pop_locked(box, k);
-  lock.unlock();
-  record_recv(src, dst, env.size(), t0);
-  if (env.shared) return std::move(env.shared);
-  return std::make_shared<Bytes>(std::move(env.owned));
+  return share(*pop_ready(dst, src, tag, std::nullopt));
 }
 
 std::optional<Bytes> Fabric::try_recv_for(int dst, int src, uint64_t tag,
                                           std::chrono::microseconds timeout) {
-  EMBRACE_CHECK(src >= 0 && src < num_ranks_, << "bad src rank " << src);
-  EMBRACE_CHECK(dst >= 0 && dst < num_ranks_, << "bad dst rank " << dst);
-  Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
-  const uint64_t k = key(src, tag);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(box.mutex);
-  const bool got = box.cv.wait_for(lock, timeout, [&] {
-    auto it = box.queues.find(k);
-    return it != box.queues.end() && !it->second.empty();
-  });
-  if (!got) return std::nullopt;
-  Envelope env = pop_locked(box, k);
-  lock.unlock();
-  record_recv(src, dst, env.size(), t0);
-  return unwrap(std::move(env), dst);
+  auto env =
+      pop_ready(dst, src, tag, std::chrono::steady_clock::now() + timeout);
+  if (!env) return std::nullopt;
+  return unwrap(std::move(*env), dst);
 }
 
 std::optional<SharedBytes> Fabric::try_recv_shared_for(
     int dst, int src, uint64_t tag, std::chrono::microseconds timeout) {
+  auto env =
+      pop_ready(dst, src, tag, std::chrono::steady_clock::now() + timeout);
+  if (!env) return std::nullopt;
+  return share(std::move(*env));
+}
+
+std::optional<Fabric::Envelope> Fabric::pop_ready(
+    int dst, int src, uint64_t tag,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  using Clock = std::chrono::steady_clock;
   EMBRACE_CHECK(src >= 0 && src < num_ranks_, << "bad src rank " << src);
   EMBRACE_CHECK(dst >= 0 && dst < num_ranks_, << "bad dst rank " << dst);
   Mailbox& box = *mailboxes_[static_cast<size_t>(dst)];
   const uint64_t k = key(src, tag);
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
+  // The ready time this receive slept until, if it had to.
+  Clock::time_point waited_for{};
   std::unique_lock<std::mutex> lock(box.mutex);
-  const bool got = box.cv.wait_for(lock, timeout, [&] {
+  while (true) {
     auto it = box.queues.find(k);
-    return it != box.queues.end() && !it->second.empty();
-  });
-  if (!got) return std::nullopt;
+    if (it == box.queues.end() || it->second.empty()) {
+      if (!deadline) {
+        box.cv.wait(lock);
+        continue;
+      }
+      if (Clock::now() >= *deadline) return std::nullopt;
+      box.cv.wait_until(lock, *deadline);
+      continue;
+    }
+    const Clock::time_point ready = it->second.front().ready_at;
+    // Envelopes without a ready time skip the clock read.
+    if (ready == Clock::time_point{}) break;
+    const Clock::time_point now = Clock::now();
+    if (ready <= now) break;
+    if (deadline && *deadline <= now) return std::nullopt;
+    // The front message is in flight: sleep until it lands (or the
+    // deadline), waking early only for new deliveries. A reordered or
+    // recovered envelope may become the new front meanwhile; the loop
+    // re-reads it.
+    tighten_timer_slack();
+    waited_for = ready;
+    box.cv.wait_until(lock, deadline ? std::min(*deadline, ready) : ready);
+  }
   Envelope env = pop_locked(box, k);
   lock.unlock();
-  record_recv(src, dst, env.size(), t0);
-  if (env.shared) return std::move(env.shared);
-  return std::make_shared<Bytes>(std::move(env.owned));
+  record_recv(src, dst, env.size(), t0, waited_for);
+  return env;
 }
 
 BufferPool& Fabric::pool(int rank) {

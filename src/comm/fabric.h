@@ -31,7 +31,8 @@
 //
 // Fault model (DESIGN.md §8). Each link (src,dst) can be configured with a
 // deterministic, seeded FaultConfig: per-message drop / duplicate / reorder
-// probabilities and a uniform delay distribution. A recoverable drop parks
+// probabilities and a uniform delay distribution (added to the message's
+// ready time, never to the sender). A recoverable drop parks
 // the message in the destination's `lost` queue; the receive side recovers
 // it on demand (recover()), emulating a retransmission after a receiver
 // timeout. An unrecoverable drop is a black hole: the message is gone and
@@ -63,21 +64,24 @@ struct TrafficCounters {
 };
 
 // Emulated per-link delivery cost under the α–β model (α = per-message
-// start latency, β = per-byte cost = 1 / bandwidth): a message of n bytes
-// occupies the link for alpha_us + n / bytes_per_us microseconds (either
-// term may be zero). The fabric sleeps the sending thread for that long
-// before the message becomes visible — the in-process stand-in for wire
-// latency/bandwidth, and the ground truth the obs::LinkProfiler is
+// wire latency, β = per-byte cost = 1 / bandwidth): a message of n bytes
+// becomes visible to its receiver alpha_us + n / bytes_per_us microseconds
+// after it leaves the sender's NIC (either term may be zero). Only the
+// n / bytes_per_us term occupies the sender's egress (LogGP's G); α is
+// latency on the wire (LogGP's L), so back-to-back sends overlap their α.
+// The sending thread is never held. This is the in-process stand-in for
+// wire latency/bandwidth, and the ground truth the obs::LinkProfiler is
 // validated against.
 struct LinkCost {
   double alpha_us = 0.0;      // α: fixed per-message start latency
   double bytes_per_us = 0.0;  // bandwidth (1/β); 0 = infinite
 
   bool any() const { return alpha_us > 0.0 || bytes_per_us > 0.0; }
-  double cost_us(size_t bytes) const {
-    double us = alpha_us;
-    if (bytes_per_us > 0.0) us += static_cast<double>(bytes) / bytes_per_us;
-    return us;
+  // Serialization time of `bytes` at the sender's egress: n·β. A message
+  // sent on an idle egress is ready alpha_us + wire_us(n) after the send.
+  double wire_us(size_t bytes) const {
+    return bytes_per_us > 0.0 ? static_cast<double>(bytes) / bytes_per_us
+                              : 0.0;
   }
 };
 
@@ -141,7 +145,8 @@ class Fabric {
   SharedBytes recv_shared(int dst, int src, uint64_t tag);
 
   // Bounded receive: returns std::nullopt if no matching message arrived
-  // within `timeout`. Never throws on timeout — callers that want a typed
+  // (became ready) within `timeout`; a message still in flight stays
+  // queued. Never throws on timeout — callers that want a typed
   // failure wrap this (Communicator turns an exhausted deadline into
   // TimeoutError naming the edge).
   std::optional<Bytes> try_recv_for(int dst, int src, uint64_t tag,
@@ -176,12 +181,17 @@ class Fabric {
 
   // --- link-cost emulation (α–β model) ---
 
-  // Applies `cost` to every link. Call before traffic
-  // starts (not thread-safe vs in-flight sends). With a cost configured,
-  // deliver() holds the sending thread for cost_us(size) before the message
-  // lands; the obs::LinkProfiler (when enabled) samples the measured
-  // per-delivery time, which is how tests validate the α–β fit against a
-  // known configuration.
+  // Applies `cost` to every link. Call before traffic starts (not
+  // thread-safe vs in-flight sends). With a cost configured, deliver()
+  // stamps each cross-rank message with a ready time and returns at once:
+  //   ready_at = max(now, egress_free) + bytes·β + α,
+  // then advances the sending rank's egress clock by bytes·β. One egress
+  // clock serves all of a rank's sends (one per rank and tier under a
+  // topology), so a rank's bytes serialize on its NIC while the α of
+  // back-to-back sends overlaps. Receives do not see a message before its
+  // ready time. The obs::LinkProfiler (when enabled) samples ready_at minus
+  // the send time, egress queueing included, which is how tests validate
+  // the α–β fit against a known configuration.
   void set_uniform_link_cost(const LinkCost& cost);
   bool link_costs_enabled() const {
     return link_costs_enabled_.load(std::memory_order_relaxed);
@@ -261,6 +271,9 @@ class Fabric {
     uint64_t id = 0;
     Bytes owned;
     SharedBytes shared;  // non-null iff sent via send_shared
+    // Earliest time a receive may see this message (link latency, egress
+    // queueing and fault delay); the clock's epoch when none applies.
+    std::chrono::steady_clock::time_point ready_at{};
 
     size_t size() const { return shared ? shared->size() : owned.size(); }
   };
@@ -294,14 +307,31 @@ class Fabric {
   // Shared delivery path under send()/send_shared(): fault roll, traffic
   // accounting, enqueue.
   void deliver(int src, int dst, uint64_t tag, Envelope env);
+  // Advances src's egress clock for the tier towards dst by bytes·β and
+  // returns the message's ready time: egress finish + α.
+  std::chrono::steady_clock::time_point stamp_ready(
+      int src, int dst, size_t bytes, std::chrono::steady_clock::time_point now);
   // Pops the front message for `k`, discarding duplicate envelopes and
   // erasing the queue when drained. Caller holds box.mutex.
   Envelope pop_locked(Mailbox& box, uint64_t k);
+  // The receive path under recv/recv_shared/try_recv*: waits until the
+  // front message of (src, tag) at dst is ready, pops it and records the
+  // receive. nullopt when `deadline` passes first; an in-flight message
+  // then stays queued.
+  std::optional<Envelope> pop_ready(
+      int dst, int src, uint64_t tag,
+      std::optional<std::chrono::steady_clock::time_point> deadline);
   // Converts a popped envelope into an owned buffer: move for owned or
   // last-reference shared payloads, pooled copy otherwise.
   Bytes unwrap(Envelope&& env, int dst);
+  // Converts a popped envelope into a shared view: never copies; owned
+  // payloads are moved into the handle.
+  static SharedBytes share(Envelope&& env);
+  // `waited_for` is the ready time the receive slept until (the epoch if
+  // it did not wait); its wake-up lateness goes to "fabric.recv.late_us".
   void record_recv(int src, int dst, size_t bytes,
-                   std::chrono::steady_clock::time_point t0);
+                   std::chrono::steady_clock::time_point t0,
+                   std::chrono::steady_clock::time_point waited_for);
 
   int num_ranks_;
   std::vector<std::unique_ptr<BufferPool>> pools_;  // one per rank
@@ -309,6 +339,10 @@ class Fabric {
   std::vector<std::unique_ptr<PairCounters>> counters_;  // n*n, row-major
   std::vector<std::unique_ptr<PairCounters>> recv_counters_;  // n*n
   std::vector<LinkCost> link_cost_;  // n*n, row-major
+  // Per-rank egress clocks, [rank * 2 + (inter-node ? 1 : 0)], as
+  // steady_clock ticks: when the rank's NIC finishes serializing the bytes
+  // already sent on that tier.
+  std::vector<std::unique_ptr<std::atomic<int64_t>>> egress_free_;
   std::atomic<bool> link_costs_enabled_{false};
   // Topology state: rank → node map (empty until set_topology) plus the
   // cluster shape, and per-tier traffic counters ([0] = intra, [1] = inter).

@@ -159,8 +159,9 @@ struct TrainConfig {
   uint64_t recv_timeout_ms = 0;
 
   // Emulated uniform α–β link cost (DESIGN.md §11): when either field is
-  // > 0, every cross-rank fabric delivery occupies the link for
-  // link_alpha_us + bytes / link_bytes_per_us microseconds before landing.
+  // > 0, every cross-rank fabric delivery lands link_alpha_us +
+  // bytes / link_bytes_per_us microseconds after it leaves the sender's
+  // egress, where a rank's bytes queue behind its earlier ones.
   // Gives the in-process fabric a real (configurable) network profile, so
   // the online link profiler has something to measure. The sparse-algorithm
   // and hot-row-cache pickers price the same link (cost_params in

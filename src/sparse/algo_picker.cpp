@@ -156,12 +156,14 @@ double AlgoPicker::predict_us(comm::SparseAlgoKind algo,
   const double vb = value_bytes();
   switch (algo) {
     case comm::SparseAlgoKind::kSplitAllgather: {
-      // Each rank ships its whole payload to every peer: (N−1)(α + S/B).
-      // Per-rank payload sizes add linearly, so the *mean* per-rank density
-      // prices the total volume exactly regardless of overlap structure.
+      // Each rank ships its whole payload to every peer in one round: the
+      // N−1 sends share one α while their bytes serialize on the sender's
+      // egress, α + (N−1)·S/B. Per-rank payload sizes add linearly, so the
+      // *mean* per-rank density prices the total volume exactly regardless
+      // of overlap structure.
       const double s = sparse_payload_bytes(density, rows, dim, vb);
-      return (n - 1.0) *
-             (link.alpha_us + wire_us(link, s, params_.allgather_eff));
+      return link.alpha_us +
+             (n - 1.0) * wire_us(link, s, params_.allgather_eff);
     }
     case comm::SparseAlgoKind::kRecursiveDoubling: {
       // Round r exchanges the merge of 2^r ranks' rows. Its density is
@@ -260,15 +262,15 @@ double AlgoPicker::predict_hot_split_us(int64_t hot_rows,
   const double vb = value_bytes();
   const double beta = params_.link.bytes_per_us;  // 0 = infinite bandwidth
   const double peer_frac = static_cast<double>(world - 1) / world;
-  // Cold AlltoAll, both legs per step: the lookup ships exact fp32 row
-  // slices, the gradient leg ships codec-priced values plus 8-byte
-  // indices; a rank's own slice never leaves the box.
+  // Cold AlltoAll, both legs per step, one round (one α) each: the lookup
+  // ships exact fp32 row slices, the gradient leg ships codec-priced values
+  // plus 8-byte indices; a rank's own slice never leaves the box.
   const double cold_tokens =
       tokens_per_step * (1.0 - hot_access_frac) / world;  // per rank
   const double a2a_bytes =
       cold_tokens * peer_frac *
       (static_cast<double>(dim) * 4.0 + static_cast<double>(dim) * vb + 8.0);
-  double t = 2.0 * params_.link.alpha_us * (world - 1);
+  double t = 2.0 * params_.link.alpha_us;
   if (beta > 0.0) t += a2a_bytes / (beta * params_.alltoall_eff);
   // Hot sync: a dense ring AllReduce over (hot_rows × dim) codec-priced
   // values plus exact presence floats, amortized over the staleness
@@ -287,11 +289,12 @@ double AlgoPicker::predict_hot_split_us(int64_t hot_rows,
 
 double AlgoPicker::crossover_density(int64_t rows, int64_t dim,
                                      int world) const {
-  // Equate (N−1)(α + dR(8+vD)/(β·ag)) with 2(N−1)(α + vRD/(N·β·ar)),
+  // Equate α + (N−1)·dR(8+vD)/(β·ag) with 2(N−1)(α + vRD/(N·β·ar)),
   // dropping the constant header (v = value_bytes; both paths encode their
   // value sections, so v appears on both sides). With no bandwidth model
-  // (β = 0) both sides are pure latency and the dense ring (2× the latency
-  // terms) never wins: the sparse format is free at any density.
+  // (β = 0) both sides are pure latency and the dense ring (2(N−1) rounds
+  // to the allgather's one) never wins: the sparse format is free at any
+  // density.
   if (world <= 1 || rows <= 0 || dim <= 0) return 1.0;
   const double beta = params_.link.bytes_per_us;
   if (beta <= 0.0) return 1.0;
@@ -302,7 +305,7 @@ double AlgoPicker::crossover_density(int64_t rows, int64_t dim,
   const double ar = params_.allreduce_eff;
   const double vb = value_bytes();
   const double crossover =
-      (params_.link.alpha_us * beta * ag +
+      ((2.0 * n - 3.0) / (n - 1.0) * params_.link.alpha_us * beta * ag +
        2.0 * vb * r * d * ag / (n * ar)) /
       (r * (8.0 + vb * d));
   return std::clamp(crossover, 0.0, 1.0);

@@ -121,10 +121,11 @@ class AlgoPicker {
   double predict_us(comm::SparseAlgoKind algo, double density, int64_t rows,
                     int64_t dim, int world) const;
 
-  // Closed-form density where split-allgather and the dense ring predict
-  // equal cost (monolithic transfers), clamped to [0, 1]. With v =
-  // value_bytes() (4 when no codec is active):
-  //   d* = (α·β·ag_eff + 2v·R·D·ag_eff / (N·ar_eff)) / (R·(8 + v·D))
+  // Closed-form density where split-allgather (one round) and the dense
+  // ring (2(N−1) rounds) predict equal cost (monolithic transfers), clamped
+  // to [0, 1]. With v = value_bytes() (4 when no codec is active):
+  //   d* = ((2N−3)/(N−1)·α·β·ag_eff + 2v·R·D·ag_eff / (N·ar_eff))
+  //        / (R·(8 + v·D))
   // Densities below d* favor the sparse wire format, above it the dense
   // fallback. 1.0 when the dense ring never wins (e.g. world == 1).
   double crossover_density(int64_t rows, int64_t dim, int world) const;

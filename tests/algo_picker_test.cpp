@@ -433,7 +433,8 @@ TEST(AlgoPicker, CheaperValuesRaiseCrossoverWhenLatencyBound) {
   // drops with v — so at geometries where that floor carries real weight
   // (d(d*)/dv < 0 iff 16R/(N·ar) > αβ·D... here R = 8192 « αβN·ar/16) the
   // sparse format stays competitive to HIGHER densities under a codec:
-  //   d* = (αβ·ag + 2vRD·ag/(N·ar)) / (R(8 + vD)) rises as v falls.
+  //   d* = ((2N−3)/(N−1)·αβ·ag + 2vRD·ag/(N·ar)) / (R(8 + vD)) rises as
+  //   v falls.
   AlgoPicker raw(CostParams::from_simnet_defaults());
   AlgoPicker coded(CostParams::from_simnet_defaults());
   coded.set_codec_cost(1.6);

@@ -281,18 +281,24 @@ TEST(Fabric, PerLinkSendRecvCountersBalanceUnderFaults) {
 }
 
 TEST(Fabric, LinkCostEmulationChargesCrossRankDeliveries) {
+  // α is latency on the wire and bytes·β the sender's serialization time:
+  // a message is received no earlier than α + bytes·β after its send, and
+  // a second message queues behind the first one's bytes at the egress.
   LinkCost cost;
   cost.alpha_us = 2000.0;
   cost.bytes_per_us = 1.0;
-  EXPECT_DOUBLE_EQ(cost.cost_us(1000), 3000.0);
+  EXPECT_DOUBLE_EQ(cost.wire_us(1000), 1000.0);
   Fabric f(2);
   f.set_uniform_link_cost(cost);
   const auto t0 = std::chrono::steady_clock::now();
   f.send(0, 1, 0, Bytes(1000));
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  // The sender is occupied for at least the modeled wire time.
-  EXPECT_GE(elapsed, std::chrono::microseconds(3000));
+  f.send(0, 1, 1, Bytes(1000));
   EXPECT_EQ(f.recv(1, 0, 0).size(), 1000u);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::microseconds(3000));
+  EXPECT_EQ(f.recv(1, 0, 1).size(), 1000u);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::microseconds(4000));
   // Self deliveries are a local memcpy, never charged: just verify they
   // complete (an upper-bound timing assert would flake on loaded machines).
   f.send(1, 1, 1, Bytes(1000));
@@ -370,28 +376,28 @@ TEST(FabricTopology, WithoutTopologyCrossTrafficCountsAsIntra) {
   EXPECT_EQ(f.tier_traffic(false).bytes, 0);
 }
 
-// Regression for the short-duration path of the link-cost sleep: costs of a
-// few µs are below the spin window, where the old code computed a sleep
-// deadline in the past (negative duration) and could wedge or oversleep by
-// a scheduler tick per message. 200 cheap sends must take roughly
-// 200 × cost, not 200 × timer-tick.
-TEST(FabricTopology, FewMicrosecondLinkCostsStayInTheSpinWindow) {
+// Regression for links of a few µs: receives must wait for such short
+// ready times without rounding each one up to a timer tick, and α must
+// overlap across back-to-back sends. 200 pipelined messages land about
+// α + 200·bytes·β after the first send, not 200·α and not 200 ticks.
+TEST(FabricTopology, FewMicrosecondLinkCostsPipeline) {
   LinkCost cheap;
-  cheap.alpha_us = 3.0;  // well under the 100 µs spin window
+  cheap.alpha_us = 3.0;
+  cheap.bytes_per_us = 1.0;  // 8 µs of egress per 8-byte message
   Fabric f(2);
   f.set_uniform_link_cost(cheap);
   constexpr int kSends = 200;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kSends; ++i) f.send(0, 1, static_cast<uint64_t>(i), Bytes(8));
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  // Lower bound: the modeled cost must actually be charged.
-  EXPECT_GE(elapsed, std::chrono::microseconds(3 * kSends));
-  // Upper bound: generous (loaded CI), but far below the ~2 ms/msg a
-  // sleep_until-past-deadline or tick-rounding bug would cost.
-  EXPECT_LE(elapsed, std::chrono::milliseconds(150));
   for (int i = 0; i < kSends; ++i) {
     EXPECT_EQ(f.recv(1, 0, static_cast<uint64_t>(i)).size(), 8u);
   }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // Lower bound: the modeled cost must actually be charged.
+  EXPECT_GE(elapsed, std::chrono::microseconds(3 + 8 * kSends));
+  // Upper bound: generous (loaded CI), but far below the ~2 ms/msg a
+  // tick-rounding bug would cost.
+  EXPECT_LE(elapsed, std::chrono::milliseconds(150));
 }
 
 // --- zero-copy fan-out (send_shared / recv_shared) ---

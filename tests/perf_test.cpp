@@ -179,9 +179,10 @@ TEST(LinkProfiler, ZeroByteVarianceFlagsDegenerateNotGarbageSlope) {
 }
 
 TEST(LinkProfiler, RecoversEmulatedFabricCostWithinTenPercent) {
-  // Ground truth: the fabric occupies each cross-rank delivery for
-  // α + bytes/β microseconds; the profiler observes delivery timestamps
-  // only and must fit those constants back out.
+  // Ground truth: each cross-rank delivery lands α + bytes/β microseconds
+  // after its send (one message in flight at a time, so no egress
+  // queueing); the profiler samples the fabric's modelled send-to-ready
+  // times and must fit those constants back out.
   // Preemption and timer overshoot on a loaded machine only ever delay a
   // delivery, by up to hundreds of us per sample. Constants are chosen so
   // the 10% tolerance is wide against that noise: 500 us on alpha, and a

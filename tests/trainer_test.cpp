@@ -625,7 +625,7 @@ TEST(Trainer, AllGatherPricesConfiguredLink) {
   // Horovod-AllGather's picker prices the configured link, not simnet's
   // 30 us / 100 Gbps defaults. On a slow (125 B/us), low-latency link a
   // near-dense gradient belongs on the dense ring; the defaults would keep
-  // it on recursive doubling.
+  // it on the one-round split allgather.
   const auto picker = [](const TrainConfig& c) {
     return sparse::AlgoPicker(cost_params(c), c.chunk_bytes);
   };
@@ -635,7 +635,7 @@ TEST(Trainer, AllGatherPricesConfiguredLink) {
   EXPECT_EQ(picker(cfg).choose(0.6, 400, 16, 4).algo,
             comm::SparseAlgoKind::kDenseRing);
   EXPECT_EQ(picker(base_config()).choose(0.6, 400, 16, 4).algo,
-            comm::SparseAlgoKind::kRecursiveDoubling);
+            comm::SparseAlgoKind::kSplitAllgather);
 
   // A vocabulary this small is nearly fully touched by every rank's batch.
   constexpr int kWorkers = 4;
