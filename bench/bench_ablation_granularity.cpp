@@ -1,31 +1,23 @@
-// Ablation (paper §4.2.1's design argument): scheduling granularity for the
-// dense-gradient AllReduce, measured on the real chunked pipeline.
+// Ablation: wire granularity for the dense-gradient AllReduce, measured on
+// the real chunked pipeline.
 //
-// Sweeps ChunkedAllReduce's chunk_bytes over a multi-MB buffer on a 4-rank
+// Sweeps allreduce_chunked's chunk_bytes over a multi-MB buffer on a 4-rank
 // in-process cluster and times it against the monolithic ring
-// (Communicator::allreduce). Finer chunks buy the scheduler earlier
-// preemption points and pipeline the wire, but pay per-message overhead;
-// the sweep shows where that trade lands. A second scenario drives a
-// chunked dense transfer through the NegotiatedScheduler and fires a
-// high-priority sparse-style op mid-flight, reporting how many chunk-
-// boundary preemptions occurred ("sched.preemptions").
+// (Communicator::allreduce). Finer chunks pipeline the wire but pay
+// per-message overhead; the sweep shows where that trade lands, with the
+// wire messages each rank sends per AllReduce.
 //
 // Emits every number as a gauge to BENCH_granularity.json; the CI
 // bench-smoke job gates on granularity.default_chunk_us (must not be
-// slower than ~1.25x the monolithic path) and granularity.preemptions
-// (must be > 0 in the mixed scenario).
-#include <chrono>
+// slower than ~1.25x the monolithic path).
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.h"
+#include "comm/chunk_plan.h"
 #include "comm/chunked_collectives.h"
 #include "comm/cluster.h"
 #include "comm/communicator.h"
@@ -34,7 +26,6 @@
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "obs/metrics.h"
-#include "sched/negotiated_scheduler.h"
 
 using namespace embrace;
 using namespace embrace::comm;
@@ -90,55 +81,10 @@ void check_equality(const std::vector<int64_t>& chunk_sizes) {
   });
 }
 
-// Drives one chunked dense transfer through the NegotiatedScheduler and
-// submits a high-priority op from the training thread mid-flight. Each
-// quantum spins ~20us so the transfer reliably outlives the submission
-// race; returns the global preemption count delta.
-int64_t preemption_scenario() {
-  const int64_t before = obs::counter("sched.preemptions").value();
-  Fabric fabric(kRanks);
-  run_cluster(fabric, [&](Communicator& comm) {
-    Communicator data_ch = comm.channel(1);
-    sched::NegotiatedScheduler scheduler(comm.channel(0));
-    std::vector<float> dense(size_t{1} << 18, 1.0f);  // 1 MB
-    std::vector<float> hot(256, 2.0f);
-    const int64_t chunk = 16 * 1024;
-    const int64_t slices = ChunkedAllReduce::num_quanta(
-        static_cast<int64_t>(dense.size()), kRanks, chunk);
-    auto cursor = std::make_shared<std::optional<ChunkedAllReduce>>();
-    sched::OpDesc dense_desc;
-    dense_desc.name = "dense";
-    dense_desc.priority = 10.0;
-    dense_desc.bytes = static_cast<int64_t>(dense.size() * sizeof(float));
-    dense_desc.kind = sched::OpKind::kDense;
-    sched::Handle dense_h = scheduler.submit(
-        dense_desc, slices, [&, cursor](int64_t i) {
-          if (i == 0) cursor->emplace(data_ch, std::span<float>(dense), chunk);
-          (*cursor)->run_quantum(i);
-          Stopwatch spin;
-          while (spin.micros() < 20) {
-          }
-        });
-    // Let the dense transfer get going, then interrupt it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    sched::OpDesc hot_desc;
-    hot_desc.name = "hot";
-    hot_desc.priority = 0.0;
-    hot_desc.bytes = static_cast<int64_t>(hot.size() * sizeof(float));
-    hot_desc.kind = sched::OpKind::kSparsePrior;
-    sched::Handle hot_h =
-        scheduler.submit(hot_desc, [&] { data_ch.allreduce(hot); });
-    hot_h.wait();
-    dense_h.wait();
-    scheduler.shutdown();
-  });
-  return obs::counter("sched.preemptions").value() - before;
-}
-
 }  // namespace
 
 int main() {
-  std::printf("Ablation: scheduling granularity — 4-rank ring AllReduce of "
+  std::printf("Ablation: wire granularity — 4-rank ring AllReduce of "
               "%lld floats (%.1f MB), chunked vs monolithic.\n\n",
               static_cast<long long>(kElems),
               static_cast<double>(kElems) * sizeof(float) / 1e6);
@@ -148,7 +94,14 @@ int main() {
   std::puts("bitwise equality chunked vs monolithic: OK");
 
   constexpr int kIters = 6;
-  TextTable t({"chunk", "us/allreduce", "quanta"});
+  // Each rank sends one message per wire slice: 2(N-1) ring steps, each
+  // its block's slice count (the blocks are equal here).
+  const auto msgs_per_rank = [](int64_t chunk) {
+    return 2 * (kRanks - 1) *
+           ChunkPlan::over(kElems / kRanks, chunk, sizeof(float))
+               .num_chunks();
+  };
+  TextTable t({"chunk", "us/allreduce", "msgs/rank"});
   double mono_us = 0.0;
   {
     Fabric fabric(kRanks);
@@ -158,7 +111,8 @@ int main() {
       c.allreduce(local);
     });
     registry.gauge("granularity.monolithic_us").set(mono_us);
-    t.add_row({"monolithic", TextTable::num(mono_us, 1), "1"});
+    t.add_row({"monolithic", TextTable::num(mono_us, 1),
+               TextTable::num(static_cast<double>(msgs_per_rank(0)), 0)});
   }
   for (const int64_t chunk : chunk_sizes) {
     Fabric fabric(kRanks);
@@ -167,24 +121,15 @@ int main() {
       std::vector<float> local = data;
       allreduce_chunked(c, local, chunk);
     });
-    const int64_t quanta =
-        ChunkedAllReduce::num_quanta(kElems, kRanks, chunk);
     const std::string label = std::to_string(chunk / 1024) + "KB";
     registry.gauge("granularity.allreduce_us{chunk=" + label + "}").set(us);
     if (chunk == kDefaultChunk) {
       registry.gauge("granularity.default_chunk_us").set(us);
     }
     t.add_row({label, TextTable::num(us, 1),
-               TextTable::num(static_cast<double>(quanta), 0)});
+               TextTable::num(static_cast<double>(msgs_per_rank(chunk)), 0)});
   }
   t.print();
-
-  const int64_t preemptions = preemption_scenario();
-  registry.gauge("granularity.preemptions")
-      .set(static_cast<double>(preemptions));
-  std::printf("\nmixed sparse/dense scenario: %lld chunk-boundary "
-              "preemption(s)\n",
-              static_cast<long long>(preemptions));
 
   return bench::write_bench_json(registry, "granularity") ? 0 : 1;
 }

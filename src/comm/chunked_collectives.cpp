@@ -1,160 +1,107 @@
 #include "comm/chunked_collectives.h"
 
-#include <algorithm>
+#include <vector>
 
-#include "common/error.h"
+#include "comm/chunk_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace embrace::comm {
-namespace {
 
-// The largest block under chunk_range's contiguous partitioning: blocks
-// differ by at most one element (floor(total*k/n) bounds).
-int64_t max_block_elems(int64_t elems, int world_size) {
-  const int64_t q = elems / world_size;
-  const int64_t r = elems % world_size;
-  return q + (r > 0 ? 1 : 0);
-}
-
-int64_t padded_slices_per_step(int64_t elems, int world_size,
-                               int64_t chunk_bytes) {
-  return ChunkPlan::over(max_block_elems(elems, world_size), chunk_bytes,
-                         sizeof(float))
-      .num_chunks();
-}
-
-}  // namespace
-
-int64_t ChunkedAllReduce::num_quanta(int64_t elems, int world_size,
-                                     int64_t chunk_bytes) {
-  EMBRACE_CHECK_GE(elems, 0);
-  EMBRACE_CHECK_GE(world_size, 1);
-  if (world_size == 1) return 1;
-  return 2 * (world_size - 1) *
-         padded_slices_per_step(elems, world_size, chunk_bytes);
-}
-
-ChunkedAllReduce::ChunkedAllReduce(Communicator& comm, std::span<float> data,
-                                   int64_t chunk_bytes, ReduceOp op,
-                                   const Codec* codec)
-    : comm_(&comm),
-      data_(data),
-      op_(op),
-      chunk_bytes_(chunk_bytes),
-      trivial_(comm.size() == 1),
-      codec_(codec) {
+void allreduce_chunked(Communicator& comm, std::span<float> data,
+                       int64_t chunk_bytes, ReduceOp op, const Codec* codec) {
   static obs::Counter& bytes_counter =
       obs::counter("comm.bytes{collective=allreduce_chunked}");
   static obs::Counter& calls_counter =
       obs::counter("comm.calls{collective=allreduce_chunked}");
-  bytes_counter.add(static_cast<int64_t>(data.size() * sizeof(float)));
+  const int64_t payload = static_cast<int64_t>(data.size() * sizeof(float));
+  bytes_counter.add(payload);
   calls_counter.increment();
-  if (trivial_) return;
-  kmax_ = padded_slices_per_step(static_cast<int64_t>(data.size()),
-                                 comm.size(), chunk_bytes);
-  total_quanta_ = 2 * (comm.size() - 1) * kmax_;
-  base_tag_ = comm.reserve_tags(total_quanta_);
-}
-
-void ChunkedAllReduce::run_quantum(int64_t q) {
-  EMBRACE_CHECK_EQ(q, next_, << "quanta must run in order");
-  EMBRACE_CHECK_LT(q, total_quanta_);
-  ++next_;
-  if (trivial_) return;
-  obs::ScopedSpan span("allreduce_chunked", "chunk", q, "channel",
-                       comm_->channel_id());
-  const int n = comm_->size();
-  const int rank = comm_->rank();
-  const int64_t total = static_cast<int64_t>(data_.size());
-  const int64_t step = q / kmax_;
-  const int64_t j = q % kmax_;
-  // Same block walk as the monolithic ring (reduce_scatter + allgather in
-  // Communicator): reduce-scatter step s sends block (rank-s-1) and
-  // receive-reduces block (rank-s-2); allgather step s forwards block
-  // (rank-s) and receive-copies block (rank-s-1).
-  const bool reduce_phase = step < n - 1;
-  const int s = static_cast<int>(reduce_phase ? step : step - (n - 1));
-  const int send_chunk = reduce_phase ? (rank - s - 1 + 2 * n) % n
-                                      : (rank - s + 2 * n) % n;
-  const int recv_chunk = reduce_phase ? (rank - s - 2 + 2 * n) % n
-                                      : (rank - s - 1 + 2 * n) % n;
-  const auto [sb, se] = comm_->chunk_range(total, send_chunk);
-  const auto [rb, re] = comm_->chunk_range(total, recv_chunk);
+  obs::ScopedSpan span("allreduce_chunked", "bytes", payload, "channel",
+                       comm.channel_id());
+  const int n = comm.size();
+  if (n == 1) return;
+  const int rank = comm.rank();
+  const int64_t total = static_cast<int64_t>(data.size());
+  // The largest block under chunk_range's contiguous partitioning (blocks
+  // differ by at most one element) sets the rank-invariant tag stride.
+  const int64_t max_block = total / n + (total % n > 0 ? 1 : 0);
+  const int64_t kmax =
+      ChunkPlan::over(max_block, chunk_bytes, sizeof(float)).num_chunks();
+  const uint64_t base_tag = comm.reserve_tags(2 * (n - 1) * kmax);
   const int to = (rank + 1) % n;
   const int from = (rank - 1 + n) % n;
-  const auto tag = [&](int64_t slice) {
-    return base_tag_ + static_cast<uint64_t>(step * kmax_ + slice);
-  };
-  if (codec_ != nullptr && !reduce_phase && s == 0 && j == 0) {
-    // Reduce->gather transition: this rank now owns its fully-reduced block
-    // in raw form, but every peer will receive decode(encode(block)). Under
-    // a lossy codec the owner must project its own copy through the codec —
-    // per send slice, since top-k selects within a slice — or ranks end the
-    // collective with different bits.
-    const ChunkPlan sends = ChunkPlan::over(se - sb, chunk_bytes_);
-    for (int64_t k = 0; k < sends.num_chunks(); ++k) {
-      const auto [b, e] = sends.chunk(k);
-      std::span<float> slice = data_.subspan(static_cast<size_t>(sb + b),
-                                             static_cast<size_t>(e - b));
-      wire_scratch_.resize(static_cast<size_t>(
-          codec_->encoded_bytes(static_cast<int64_t>(slice.size()))));
-      codec_->encode_into(slice, wire_scratch_.data());
-      codec_->decode(wire_scratch_, slice);
+  std::vector<float> decode_scratch;
+  std::vector<std::byte> wire_scratch;
+  for (int64_t step = 0; step < 2 * (n - 1); ++step) {
+    // Same block walk as the monolithic ring (reduce_scatter + allgather in
+    // Communicator): reduce-scatter step s sends block (rank-s-1) and
+    // receive-reduces block (rank-s-2); allgather step s forwards block
+    // (rank-s) and receive-copies block (rank-s-1).
+    const bool reduce_phase = step < n - 1;
+    const int s = static_cast<int>(reduce_phase ? step : step - (n - 1));
+    const int send_chunk = reduce_phase ? (rank - s - 1 + 2 * n) % n
+                                        : (rank - s + 2 * n) % n;
+    const int recv_chunk = reduce_phase ? (rank - s - 2 + 2 * n) % n
+                                        : (rank - s - 1 + 2 * n) % n;
+    const auto [sb, se] = comm.chunk_range(total, send_chunk);
+    const auto [rb, re] = comm.chunk_range(total, recv_chunk);
+    const auto tag = [&](int64_t slice) {
+      return base_tag + static_cast<uint64_t>(step * kmax + slice);
+    };
+    const ChunkPlan sends = ChunkPlan::over(se - sb, chunk_bytes);
+    if (codec != nullptr && !reduce_phase && s == 0) {
+      // Reduce->gather transition: this rank now owns its fully-reduced
+      // block in raw form, but every peer will receive
+      // decode(encode(block)). Under a lossy codec the owner must project
+      // its own copy through the codec — per send slice, since top-k
+      // selects within a slice — or ranks end the collective with
+      // different bits.
+      for (int64_t k = 0; k < sends.num_chunks(); ++k) {
+        const auto [b, e] = sends.chunk(k);
+        std::span<float> slice = data.subspan(static_cast<size_t>(sb + b),
+                                              static_cast<size_t>(e - b));
+        wire_scratch.resize(static_cast<size_t>(
+            codec->encoded_bytes(static_cast<int64_t>(slice.size()))));
+        codec->encode_into(slice, wire_scratch.data());
+        codec->decode(wire_scratch, slice);
+      }
     }
-  }
-  if (j == 0) {
-    // First quantum of the step: eagerly enqueue every slice send (fabric
-    // sends are async), so the peer's receives pipeline behind them while
-    // later quanta — ours or a preempting op's — execute.
-    const ChunkPlan sends = ChunkPlan::over(se - sb, chunk_bytes_);
+    // Enqueue every slice send of the step first (fabric sends are async),
+    // so the peer's receives pipeline behind them.
     for (int64_t k = 0; k < sends.num_chunks(); ++k) {
       const auto [b, e] = sends.chunk(k);
-      const std::span<const float> slice = data_.subspan(
+      const std::span<const float> slice = data.subspan(
           static_cast<size_t>(sb + b), static_cast<size_t>(e - b));
-      if (codec_ != nullptr) {
-        comm_->send_bytes_block(to, tag(k),
-                                codec_encode(*codec_, comm_->pool(), slice));
+      if (codec != nullptr) {
+        comm.send_bytes_block(to, tag(k),
+                              codec_encode(*codec, comm.pool(), slice));
       } else {
-        comm_->send_float_block(to, tag(k), slice);
+        comm.send_float_block(to, tag(k), slice);
+      }
+    }
+    const ChunkPlan recvs = ChunkPlan::over(re - rb, chunk_bytes);
+    for (int64_t j = 0; j < recvs.num_chunks(); ++j) {
+      const auto [b, e] = recvs.chunk(j);
+      std::span<float> slice = data.subspan(static_cast<size_t>(rb + b),
+                                            static_cast<size_t>(e - b));
+      if (codec != nullptr) {
+        Bytes wire = comm.recv_bytes_block(from, tag(j));
+        if (reduce_phase) {
+          decode_scratch.resize(slice.size());
+          codec->decode(wire, decode_scratch);
+          reduce_into(slice, decode_scratch, op);
+        } else {
+          codec->decode(wire, slice);
+        }
+        comm.pool().release(std::move(wire));
+      } else if (reduce_phase) {
+        comm.recv_reduce_block(from, tag(j), slice, op);
+      } else {
+        comm.recv_copy_block(from, tag(j), slice);
       }
     }
   }
-  // Receive one slice of the step's recv block. Quanta past the block's
-  // own slice count are padding (blocks differ by at most one element
-  // across ranks; the schedule is padded to Kmax so every rank agrees on
-  // the quantum count) — nothing to receive.
-  const ChunkPlan recvs = ChunkPlan::over(re - rb, chunk_bytes_);
-  if (j < recvs.num_chunks()) {
-    const auto [b, e] = recvs.chunk(j);
-    std::span<float> slice = data_.subspan(static_cast<size_t>(rb + b),
-                                           static_cast<size_t>(e - b));
-    if (codec_ != nullptr) {
-      Bytes wire = comm_->recv_bytes_block(from, tag(j));
-      if (reduce_phase) {
-        decode_scratch_.resize(slice.size());
-        codec_->decode(wire, decode_scratch_);
-        reduce_into(slice, decode_scratch_, op_);
-      } else {
-        codec_->decode(wire, slice);
-      }
-      comm_->pool().release(std::move(wire));
-    } else if (reduce_phase) {
-      comm_->recv_reduce_block(from, tag(j), slice, op_);
-    } else {
-      comm_->recv_copy_block(from, tag(j), slice);
-    }
-  }
-}
-
-void ChunkedAllReduce::run_all() {
-  while (!done()) run_quantum(next_);
-}
-
-void allreduce_chunked(Communicator& comm, std::span<float> data,
-                       int64_t chunk_bytes, ReduceOp op, const Codec* codec) {
-  ChunkedAllReduce cursor(comm, data, chunk_bytes, op, codec);
-  cursor.run_all();
 }
 
 }  // namespace embrace::comm

@@ -1,100 +1,45 @@
-// Pipelined, chunk-granular ring AllReduce (DESIGN.md §10).
+// Chunked ring AllReduce: the monolithic ring's algorithm with its wire
+// messages split into <= chunk_bytes slices (DESIGN.md §10).
 //
 // The monolithic ring AllReduce (Communicator::allreduce) runs 2(N-1)
-// steps, each sending one whole block and receive-reducing another; a
-// scheduler driving it can only switch ops between *whole transfers*.
-// ChunkedAllReduce exposes the same algorithm as a cursor of `num_quanta()`
-// ordered quanta so a scheduler can interleave quanta of several ops: a
-// high-priority op preempts an in-flight dense AllReduce at a chunk
-// boundary instead of waiting behind the whole tensor.
-//
-// Quantum schedule. Each ring step's blocks are sliced into <= chunk_bytes
-// pieces (ChunkPlan). The first quantum of a step eagerly enqueues *all* of
-// the step's slice sends (fabric sends are async), then each quantum
-// receive-reduces (reduce-scatter phase) or receive-copies (allgather
-// phase) one slice — so the wire carries small messages the peer starts
-// consuming immediately (pipelining), while this rank is free to run other
-// ops' quanta between slices.
+// steps, each sending one whole block and receive-reducing another. Here
+// each step's blocks are sliced into <= chunk_bytes pieces (ChunkPlan): a
+// step first enqueues *all* of its slice sends (fabric sends are async),
+// then receive-reduces (reduce-scatter phase) or receive-copies (allgather
+// phase) the incoming slices in order — so the wire carries small messages
+// the peer starts consuming immediately (pipelining). The call runs whole;
+// chunking changes the wire, not the scheduling.
 //
 // Invariants (tested):
 //  * Bitwise reproducibility. The block partition (chunk_range over the
 //    full span) and the per-element reduce order are exactly the monolithic
 //    ring's; only the wire messages are split. Results are bitwise-equal to
 //    Communicator::allreduce for every chunk size.
-//  * Rank-invariant quantum count. Block sizes differ by at most one
-//    element across ranks, so per-step slice counts could differ; every
-//    step is padded to Kmax (the slice count of the largest block) with
-//    no-op quanta. num_quanta() is a pure function of (elems, world,
-//    chunk_bytes), letting all ranks submit identical slice counts to the
-//    negotiated scheduler.
-//  * SPMD tags. Construction reserves the whole tag range up front
-//    (Communicator::reserve_tags), so constructing the cursor is the only
-//    point that must line up across ranks; quanta may then interleave with
-//    other channels' traffic arbitrarily.
+//  * Rank-invariant tags. Block sizes differ by at most one element across
+//    ranks, so per-step slice counts could differ; the tag of slice j of
+//    step s is base + s·Kmax + j, with Kmax the slice count of the largest
+//    block, and the whole range is reserved up front
+//    (Communicator::reserve_tags), identically on every rank.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "comm/chunk_plan.h"
 #include "comm/codec.h"
 #include "comm/communicator.h"
 
 namespace embrace::comm {
 
-class ChunkedAllReduce {
- public:
-  // Quanta for the given geometry: 2(world-1)*Kmax, or 1 when world == 1
-  // (a single no-op quantum keeps "submit one sliced op" uniform).
-  // Identical on every rank; chunk_bytes <= 0 means one slice per ring
-  // step (step-granular preemption, no intra-block splitting).
-  static int64_t num_quanta(int64_t elems, int world_size,
-                            int64_t chunk_bytes);
-
-  // `data` must outlive the cursor and have equal size on all ranks.
-  // Reserves tags: all ranks must construct at the same point in the
-  // channel's collective order.
-  //
-  // With a non-null `codec` every wire slice travels codec-encoded (and is
-  // decoded + reduced on arrival); all ranks must pass an equivalent codec
-  // (same kind and parameters), and `codec` must outlive the cursor. A
-  // null codec keeps the raw float-block fast path — byte-for-byte today's
-  // wire traffic. Lossy codecs quantize each hop's partial sums, so the
-  // result is approximate; pair them with error feedback (comm/codec.h).
-  ChunkedAllReduce(Communicator& comm, std::span<float> data,
-                   int64_t chunk_bytes, ReduceOp op = ReduceOp::kSum,
-                   const Codec* codec = nullptr);
-
-  int64_t num_quanta() const { return total_quanta_; }
-  int64_t next_quantum() const { return next_; }
-  bool done() const { return next_ == total_quanta_; }
-
-  // Runs quantum `q`; quanta must run in strictly increasing order
-  // (q == next_quantum()). Other work — including other cursors' quanta —
-  // may run between calls.
-  void run_quantum(int64_t q);
-
-  // Runs every remaining quantum back-to-back (the unscheduled path).
-  void run_all();
-
- private:
-  Communicator* comm_;
-  std::span<float> data_;
-  ReduceOp op_;
-  int64_t chunk_bytes_ = 0;
-  int64_t kmax_ = 1;         // padded slice count per ring step
-  int64_t total_quanta_ = 1;
-  int64_t next_ = 0;
-  uint64_t base_tag_ = 0;    // tag(step, j) = base + step * kmax_ + j
-  bool trivial_ = false;     // world == 1: nothing to exchange
-  const Codec* codec_ = nullptr;  // not owned; null = raw float blocks
-  std::vector<float> decode_scratch_;
-  std::vector<std::byte> wire_scratch_;
-};
-
-// Convenience: constructs a cursor and runs every quantum. Bitwise-equal
-// to Communicator::allreduce when codec is null (or lossless).
+// In-place ring AllReduce with <= chunk_bytes wire slices (chunk_bytes <= 0:
+// one slice per ring step). `data` must have equal size on all ranks.
+// Bitwise-equal to Communicator::allreduce when codec is null (or
+// lossless).
+//
+// With a non-null `codec` every wire slice travels codec-encoded (and is
+// decoded + reduced on arrival); all ranks must pass an equivalent codec
+// (same kind and parameters). A null codec keeps the raw float-block fast
+// path. Lossy codecs quantize each hop's partial sums, so the result is
+// approximate; pair them with error feedback (comm/codec.h).
 void allreduce_chunked(Communicator& comm, std::span<float> data,
                        int64_t chunk_bytes, ReduceOp op = ReduceOp::kSum,
                        const Codec* codec = nullptr);

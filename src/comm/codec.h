@@ -1,10 +1,10 @@
 // Pluggable gradient-compression codecs for the wire (DESIGN.md §14).
 //
 // A Codec turns a block of floats into a (usually smaller) byte payload and
-// back. The collectives apply it per chunk (ChunkedAllReduce) or per wire
-// payload (sparse / hierarchical collectives); the trainer pairs the lossy
-// kinds with rank-local error-feedback residuals so the dropped mass is
-// re-injected into later steps instead of being lost.
+// back. The collectives apply it per wire slice (allreduce_chunked) or per
+// wire payload (sparse / hierarchical collectives); the trainer pairs the
+// lossy kinds with rank-local error-feedback residuals so the dropped mass
+// is re-injected into later steps instead of being lost.
 //
 // Contract every codec must honor:
 //   * encoded_bytes(elems) is a pure function of the element count — never

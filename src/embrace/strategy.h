@@ -102,12 +102,12 @@ struct TrainConfig {
 
   uint64_t seed = 42;
 
-  // Chunk granularity for dense-gradient AllReduce (DESIGN.md §10): when
-  // > 0, each dense transfer is split into <= chunk_bytes wire chunks and
-  // scheduled as ordered quanta, so a higher-priority op (embedding
-  // AlltoAll, prior sparse part) can preempt it at a chunk boundary.
-  // 0 = monolithic transfers. Results are bitwise-identical either way.
-  // When > 0, must be in [64, 1 GiB] (validate()).
+  // Wire chunking of the dense-ring AllReduces (DESIGN.md §10): when > 0,
+  // each ring step's block travels as <= chunk_bytes messages, pipelined
+  // behind each other. The op still runs whole on the comm thread; only the
+  // wire changes. 0 = one message per ring step. Results are
+  // bitwise-identical either way. When > 0, must be in [64, 1 GiB]
+  // (validate()).
   int64_t chunk_bytes = 0;
 
   // Gradient wire codec (DESIGN.md §14): kIdentity (no compression, wire

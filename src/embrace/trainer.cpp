@@ -159,11 +159,6 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     comm_group.emplace(comm::build_comm_group(comm_ch));
   }
   comm::CommGroup* grp = comm_group.has_value() ? &*comm_group : nullptr;
-  // Dense AllReduce takes the two-level route only with chunking off: the
-  // chunked cursor stays on the flat ring, because chunk-granular
-  // preemption across topology tiers is not implemented.
-  const bool two_level_dense =
-      cfg.chunk_bytes <= 0 && grp != nullptr && grp->two_level();
   sched::NegotiatedScheduler scheduler(comm.channel(kControlChannel));
   SyncContext ctx{.cfg = cfg,
                   .rank = rank,
@@ -187,17 +182,13 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
   // The fused dense-gradient buffer, in BP-emission (reverse parameter)
   // order, and the comm-thread state of its one op per step. The main
   // thread waits on that op before touching the gradients again, so one
-  // buffer, cursor and error-feedback residual (DESIGN.md §14) serve every
-  // step.
+  // buffer and error-feedback residual (DESIGN.md §14) serve every step.
   std::vector<Tensor*> bp_grads;
   for (size_t i = head_params.size(); i-- > 0;) {
     bp_grads.push_back(&head_params[i]->grad);
   }
   FusionGroup dense_grads(std::move(bp_grads));
-  const int64_t dense_elems =
-      dense_grads.byte_size() / static_cast<int64_t>(sizeof(float));
   std::vector<float> dense_flat;
-  std::optional<comm::ChunkedAllReduce> dense_cursor;
   std::vector<float> dense_residual;
 
   auto loader = data::make_corpus_loader(corpus_config(cfg), rank,
@@ -280,48 +271,32 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     sched::NegotiatedScheduler::Group grad_ops = scheduler.open_group();
     // The head's FP and BP are one call, so every head gradient is final
     // at once: they travel as one fusion buffer (Horovod's tensor fusion).
-    // Slice 0 flattens it and folds in error feedback on the comm thread,
-    // then runs the whole two-level AllReduce or opens a ChunkedAllReduce
-    // cursor; the final slice runs whatever remains of the ring (all of it
-    // when chunking is off), scales by 1/N and unflattens. With
-    // chunk_bytes > 0 each quantum is its own slice; the result is
-    // bitwise-identical either way.
-    const int64_t slices = cfg.chunk_bytes > 0
-                               ? comm::ChunkedAllReduce::num_quanta(
-                                     dense_elems, workers, cfg.chunk_bytes)
-                               : 1;
+    // The op flattens it and folds in error feedback on the comm thread,
+    // runs the two-level AllReduce when a CommGroup exists (which falls back
+    // to the flat ring without a two-level topology) or the flat ring,
+    // scales by 1/N and unflattens. chunk_bytes splits the wire messages
+    // only; the result is bitwise-identical either way.
     dense_handles.push_back(scheduler.submit(
         {.name = dense_op(step),
          .priority = ctx.prio(Priorities::dense(step)),
          .bytes = dense_grads.byte_size(),
          .kind = sched::OpKind::kDense},
-        slices,
-        [&comm_ch, &dense_grads, &dense_flat, &dense_cursor, &dense_residual,
-         grp, dense_codec, two_level_dense, slices,
-         chunk_bytes = cfg.chunk_bytes, inv_n](int64_t i) {
-          if (i == 0) {
-            dense_flat = dense_grads.flatten();
-            if (dense_codec != nullptr && !dense_codec->lossless()) {
-              // Zeroed on first use; the buffer's size never changes.
-              dense_residual.resize(dense_flat.size());
-              comm::codec_error_feedback(*dense_codec, dense_flat,
-                                         dense_residual);
-            }
-            if (two_level_dense) {
-              comm::hierarchical_allreduce(*grp, dense_flat,
-                                           comm::ReduceOp::kSum, dense_codec);
-            } else {
-              dense_cursor.emplace(comm_ch, dense_flat, chunk_bytes,
-                                   comm::ReduceOp::kSum, dense_codec);
-            }
+        [&comm_ch, &dense_grads, &dense_flat, &dense_residual, grp,
+         dense_codec, chunk_bytes = cfg.chunk_bytes, inv_n] {
+          dense_flat = dense_grads.flatten();
+          if (dense_codec != nullptr && !dense_codec->lossless()) {
+            // Zeroed on first use; the buffer's size never changes.
+            dense_residual.resize(dense_flat.size());
+            comm::codec_error_feedback(*dense_codec, dense_flat,
+                                       dense_residual);
           }
-          if (i + 1 < slices) {
-            dense_cursor->run_quantum(i);
-            return;
-          }
-          if (dense_cursor.has_value()) {
-            dense_cursor->run_all();
-            dense_cursor.reset();
+          if (grp != nullptr) {
+            comm::hierarchical_allreduce(*grp, dense_flat,
+                                         comm::ReduceOp::kSum, dense_codec,
+                                         chunk_bytes);
+          } else {
+            comm::allreduce_chunked(comm_ch, dense_flat, chunk_bytes,
+                                    comm::ReduceOp::kSum, dense_codec);
           }
           for (float& v : dense_flat) v *= inv_n;
           dense_grads.unflatten(dense_flat);

@@ -32,8 +32,8 @@ constexpr size_t kMaxPeriod = 4;
 constexpr std::chrono::microseconds kAnnouncePollSlice{10000};
 
 // Announcement payloads cycle through the rank's wire-buffer pool: the
-// comm thread sends one per peer per quantum, so steady state allocates
-// nothing.
+// comm thread sends one per peer per announced unit, so steady state
+// allocates nothing.
 comm::Bytes to_bytes(comm::BufferPool& pool, const std::string& s) {
   comm::Bytes b = pool.acquire(s.size());
   if (!b.empty()) std::memcpy(b.data(), s.data(), s.size());
@@ -61,12 +61,9 @@ struct NegotiatedScheduler::Op {
   uint64_t seq = 0;
   uint64_t unit = 0;     // publication index of its negotiation unit
   bool grouped = false;  // staged in an op group
-  int64_t slices = 1;
-  int64_t next_slice = 0;  // comm thread only
-  SliceFn fn;
+  std::function<void()> fn;
   std::shared_ptr<detail::OpState> state =
       std::make_shared<detail::OpState>();
-  std::chrono::steady_clock::time_point first_start{};
 };
 
 void NegotiatedScheduler::fail_op(const std::shared_ptr<Op>& op,
@@ -94,17 +91,14 @@ bool NegotiatedScheduler::failed() const {
   return failed_ != nullptr;
 }
 
-Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
-                                   SliceFn body) {
+Handle NegotiatedScheduler::submit(OpDesc desc, std::function<void()> body) {
   EMBRACE_CHECK(desc.name != kStopToken, << "reserved op name");
   EMBRACE_CHECK(desc.name.find(kArmMarker) == std::string::npos,
                 << "op name contains the reserved byte \\x02");
-  EMBRACE_CHECK_GE(slices, 1, << "op '" << desc.name << "'");
   EMBRACE_CHECK(static_cast<bool>(body), << "op '" << desc.name
                                          << "' needs a body");
   std::shared_ptr<Op> op = std::make_shared<Op>();
   op->desc = std::move(desc);
-  op->slices = slices;
   op->fn = std::move(body);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -136,9 +130,14 @@ Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
   return Handle(op->state);
 }
 
-Handle NegotiatedScheduler::submit(OpDesc desc, std::function<void()> body) {
-  return submit(std::move(desc), 1,
-                [fn = std::move(body)](int64_t) { fn(); });
+Handle NegotiatedScheduler::submit(OpDesc desc, int64_t slices,
+                                   SliceFn body) {
+  EMBRACE_CHECK_GE(slices, 1, << "op '" << desc.name << "'");
+  EMBRACE_CHECK(static_cast<bool>(body), << "op '" << desc.name
+                                         << "' needs a body");
+  return submit(std::move(desc), [slices, fn = std::move(body)] {
+    for (int64_t i = 0; i < slices; ++i) fn(i);
+  });
 }
 
 NegotiatedScheduler::Group NegotiatedScheduler::open_group() {
@@ -238,7 +237,6 @@ void NegotiatedScheduler::fail_all(std::exception_ptr cause) {
     submitted_.clear();
     victims.insert(victims.end(), staged_.begin(), staged_.end());
     staged_.clear();
-    active_.reset();
   }
   const std::string why = describe(cause);
   for (const auto& op : victims) {
@@ -311,30 +309,26 @@ std::string NegotiatedScheduler::receive_announcement() {
   }
 }
 
-bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
-  EMBRACE_CHECK_LT(op->next_slice, op->slices,
-                   << "op '" << op->desc.name
-                   << "' announced past its final slice: ranks must submit "
-                      "matching slice counts");
-  const int64_t slice = op->next_slice;
+bool NegotiatedScheduler::run_op(const std::shared_ptr<Op>& op) {
   const auto t0 = std::chrono::steady_clock::now();
-  if (slice == 0) op->first_start = t0;
   std::exception_ptr error;
   try {
-    op->fn(slice);
+    op->fn();
   } catch (...) {
     error = std::current_exception();
   }
   const auto t1 = std::chrono::steady_clock::now();
+  // One pair of clock reads feeds both the trace span and the test-visible
+  // ExecRecord, so the two timelines agree exactly.
+  obs::emit_complete(op->desc.name, t0, t1, "priority",
+                     static_cast<int64_t>(op->desc.priority));
   if (error) {
     static obs::Counter& failures = obs::counter("sched.ops_failed");
     failures.increment();
-    obs::emit_complete(op->desc.name, t0, t1, "chunk", slice);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!failed_) failed_ = error;
       submitted_.erase(op->desc.name);
-      active_.reset();
     }
     // The culprit's handle carries the original exception; everything
     // else pending is abandoned fast so no waiter can wedge.
@@ -344,20 +338,6 @@ bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
         "': " + describe(error))));
     return false;  // comm thread retires; submit() now fails fast
   }
-  ++op->next_slice;
-  if (op->slices > 1) {
-    // Per-chunk span; a single-slice op traces one span below instead.
-    obs::emit_complete(op->desc.name, t0, t1, "chunk", slice, "priority",
-                       static_cast<int64_t>(op->desc.priority));
-  }
-  if (op->next_slice < op->slices) return true;  // more quanta to negotiate
-  // Final slice done: the op completed. One pair of clock reads feeds both
-  // the trace span and the test-visible ExecRecord, so the two timelines
-  // agree exactly.
-  if (op->slices == 1) {
-    obs::emit_complete(op->desc.name, t0, t1, "priority",
-                       static_cast<int64_t>(op->desc.priority));
-  }
   static obs::Counter& executed = obs::counter("sched.ops_executed");
   executed.increment();
   // Ordering contract: record first, then complete the handle, then
@@ -366,17 +346,15 @@ bool NegotiatedScheduler::run_slice(const std::shared_ptr<Op>& op) {
   // observes done().
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    records_.push_back(
-        {op->desc.name,
-         std::chrono::duration<double>(op->first_start - epoch_).count(),
-         std::chrono::duration<double>(t1 - epoch_).count(),
-         op->desc.kind, op->desc.bytes});
+    records_.push_back({op->desc.name,
+                        std::chrono::duration<double>(t0 - epoch_).count(),
+                        std::chrono::duration<double>(t1 - epoch_).count(),
+                        op->desc.kind, op->desc.bytes});
   }
   detail::complete_op_state(op->state);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     submitted_.erase(op->desc.name);
-    if (active_ == op) active_.reset();
     static obs::Histogram& depth =
         obs::histogram("sched.queue_depth", kQueueDepthEdges);
     depth.observe(static_cast<double>(submitted_.size()));
@@ -432,8 +410,6 @@ std::string NegotiatedScheduler::signature(const Unit& unit) {
       in_digits = digit;
     }
     sig += kArmMarker;
-    sig += std::to_string(op->slices);
-    sig += kArmMarker;
   }
   return sig;
 }
@@ -456,11 +432,8 @@ int NegotiatedScheduler::record_announced(const Unit& unit) {
 }
 
 bool NegotiatedScheduler::run_unit(const Unit& unit) {
-  if (!unit.front()->grouped) return run_slice(unit.front());
   for (const auto& op : unit) {
-    while (op->next_slice < op->slices) {
-      if (!run_slice(op)) return false;
-    }
+    if (!run_op(op)) return false;
   }
   return true;
 }
@@ -505,8 +478,6 @@ void NegotiatedScheduler::run() {
           if (!submitted_.empty()) {
             // Highest priority = smallest (priority, seq). A group is
             // picked through its most urgent member, which it runs first.
-            // A plain op is re-picked every quantum: this is the
-            // chunk-boundary preemption point.
             const Op* best = nullptr;
             for (const auto& [name, candidate] : submitted_) {
               if (best == nullptr ||
@@ -517,20 +488,7 @@ void NegotiatedScheduler::run() {
               }
             }
             chosen = best->desc.name;
-            const std::shared_ptr<Op>& op = submitted_.at(chosen);
-            // Switching away from a partially-executed op is a preemption:
-            // a more urgent op jumped in at a chunk boundary. active_ is
-            // (re)assigned after the slice runs.
-            if (active_ && active_ != op) {
-              static obs::Counter& preemptions =
-                  obs::counter("sched.preemptions");
-              preemptions.increment();
-              obs::emit_instant("sched.preempt", "chunk",
-                                active_->next_slice, "slices",
-                                active_->slices);
-              active_.reset();
-            }
-            unit = unit_of(op);
+            unit = unit_of(submitted_.at(chosen));
           }
         }
         if (!unit.empty()) period = record_announced(unit);
@@ -589,13 +547,6 @@ void NegotiatedScheduler::run() {
       if (period > 0) {
         plan_.assign(announced_.end() - period, announced_.end());
         plan_pos_ = 0;
-      }
-      if (leader) {
-        // Track the partially-executed op: if the next pick differs while
-        // this op still has slices left, that pick is a preemption.
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::shared_ptr<Op>& op = unit.front();
-        active_ = op->next_slice < op->slices ? op : nullptr;
       }
     }
   } catch (...) {

@@ -13,36 +13,28 @@
 // rank 0's readiness representative, and the announced order is identical
 // everywhere by construction.
 //
-// Chunk granularity (DESIGN.md §10). For a plain op the negotiation unit
-// is one slice: the leader announces the chosen op once per quantum and
-// re-picks the most urgent op between quanta, so a high-priority op
-// submitted while a chunked transfer is in flight preempts it at the next
-// chunk boundary — on every rank, in the same place, because the
-// announcement stream is the execution order. All ranks must submit the
-// same `slices` count for the same op name. "sched.preemptions" counts
-// switches away from a partially executed op (leader only, so the
-// process-global counter is not multiplied by the world size).
-//
-// Op groups. Ops submitted while a Group is open form one negotiation
-// unit instead: the leader announces the whole unit once, and every rank
-// runs its members back to back, all slices of each. The trainer submits a
-// step's gradient ops as one group and its lookup as another.
-// "sched.announcements" counts announced units (leader only, stop token
-// excluded).
+// Negotiation units (DESIGN.md §10). Every unit runs whole: a plain op is
+// a one-member unit, and ops submitted while a Group is open form one
+// unit together. The leader announces a unit once, naming its first
+// member, and every rank runs its members back to back; an op submitted
+// meanwhile, however urgent, waits for the running unit to finish. The
+// trainer submits a step's gradient ops as one group and its lookup as
+// another. "sched.announcements" counts announced units (leader only, stop
+// token excluded).
 //
 // Replay (Horovod's response cache). Each unit gets a publication index
 // when it becomes visible: a plain op at submit, a group at close(). A
 // group's signature is its members in run order, each as its name with
-// every digit run replaced by '#' plus its slice count; plain ops have
-// none and are never replayed. Once the last 2P announced units (P <= 4)
-// are two repeats of one period of groups, the leader marks that
-// announcement with the period. After the marked unit runs, every rank
-// runs its lowest-index pending unit without any message as long as its
-// signature repeats the period; the first unit that does not (by SPMD
-// submission order, the same unit everywhere) leaves replay and is
-// negotiated as above. So a steady-state step costs no control message.
-// In replay, units run in publication order rather than by the leader's
-// priority pick across pending units; within a unit the order is
+// every digit run replaced by '#'. Plain ops have none and are never
+// replayed, so the leader's priority pick among them holds. Once the last
+// 2P announced units (P <= 4) are two repeats of one period of groups, the
+// leader marks that announcement with the period. After the marked unit
+// runs, every rank runs its lowest-index pending unit without any message
+// as long as its signature repeats the period; the first unit that does
+// not (by SPMD submission order, the same unit everywhere) leaves replay
+// and is negotiated as above. So a steady-state step costs no control
+// message. In replay, units run in publication order rather than by the
+// leader's priority pick across pending units; within a unit the order is
 // unchanged. A shutdown with a drained queue leaves replay, and the stop
 // token is announced as usual. "sched.replayed" counts units run without
 // an announcement (leader only).
@@ -95,25 +87,26 @@ class NegotiatedScheduler {
   NegotiatedScheduler(const NegotiatedScheduler&) = delete;
   NegotiatedScheduler& operator=(const NegotiatedScheduler&) = delete;
 
-  // Enqueues an op as `slices` >= 1 ordered quanta (execution contract in
-  // sched/scheduler.h). `desc.name` and `slices` must be identical across
-  // ranks for the same logical op; names must be unique among unexecuted
-  // ops and must not contain the byte '\x02', which marks an arming
+  // Enqueues an op (execution contract in sched/scheduler.h). `desc.name`
+  // must be identical across ranks for the same logical op, unique among
+  // unexecuted ops, and free of the byte '\x02', which marks an arming
   // announcement. Throws SchedulerError once the scheduler has failed or
   // been aborted.
-  Handle submit(OpDesc desc, int64_t slices, SliceFn body);
-
-  // Whole-op convenience: one slice, body takes no index.
   Handle submit(OpDesc desc, std::function<void()> body);
+
+  // One op whose body runs body(0) .. body(slices-1) back to back
+  // (`slices` >= 1). It is negotiated, recorded and completed as a single
+  // op; the overload remains for the scheduler layer of perfbench.
+  Handle submit(OpDesc desc, int64_t slices, SliceFn body);
 
   // An open op group. Ops submitted while it is open (from any thread) get
   // their Handle at once but stay invisible to the comm thread until
   // close() publishes them together as one negotiation unit. Outside
   // replay the leader picks units by (lowest member priority, submission
   // order) and announces each once, naming its first member; every rank
-  // then runs the members in (priority, submission) order, all slices of
-  // each, without re-picking in between — so members' names, slice
-  // counts, priorities and submission order must agree across ranks. Each
+  // then runs the members in (priority, submission) order without
+  // re-picking in between — so members' names, priorities and submission
+  // order must agree across ranks. Each
   // member keeps its own ExecRecord, trace span and Handle, and completes
   // as soon as it finishes. Destroying a group that was not closed (an
   // exception between open and close) fails its staged ops: a partial
@@ -184,11 +177,10 @@ class NegotiatedScheduler {
   // Appends an announced unit's signature to announced_. On the leader,
   // returns the replay period its announcement arms, or 0.
   int record_announced(const Unit& unit);
-  // Runs one quantum of `op` on the comm thread. Returns false if the
-  // scheduler failed (the comm thread must retire).
-  bool run_slice(const std::shared_ptr<Op>& op);
-  // Runs a group's members, all slices of each, or one quantum of a plain
-  // op. Returns false if the scheduler failed.
+  // Runs `op` on the comm thread. Returns false if the scheduler failed
+  // (the comm thread must retire).
+  bool run_op(const std::shared_ptr<Op>& op);
+  // Runs a unit's members in order. Returns false if the scheduler failed.
   bool run_unit(const Unit& unit);
   // Group::close() and the unclosed Group's destructor.
   void close_group();
@@ -203,8 +195,7 @@ class NegotiatedScheduler {
   comm::Communicator control_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  // Submitted, not fully executed (partially-run chunked ops stay here
-  // until their final slice); keyed by name.
+  // Submitted, not yet executed; keyed by name.
   std::unordered_map<std::string, std::shared_ptr<Op>> submitted_;
   // Members of the open group, not yet visible to the comm thread.
   std::vector<std::shared_ptr<Op>> staged_;
@@ -217,14 +208,11 @@ class NegotiatedScheduler {
   // Announcement index; only touched by the comm thread.
   uint64_t announce_seq_ = 0;
   // Comm thread only: signatures of the latest announced units, oldest
-  // first ("" for a plain op's quantum), and the armed replay period with
-  // the position of the next unit in it (empty when not replaying).
+  // first ("" for a plain op), and the armed replay period with the
+  // position of the next unit in it (empty when not replaying).
   std::deque<std::string> announced_;
   std::vector<std::string> plan_;
   size_t plan_pos_ = 0;
-  // Leader only (comm thread): the partially-executed op whose slice ran
-  // last — announcing a different op while set is a preemption.
-  std::shared_ptr<Op> active_;
   std::vector<ExecRecord> records_;
   std::chrono::steady_clock::time_point epoch_;
   std::thread thread_;

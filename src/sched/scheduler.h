@@ -4,16 +4,11 @@
 // described by an OpDesc (name, priority, payload bytes, kind) instead of
 // encoding priority and size into name strings.
 //
-// Chunk granularity (DESIGN.md §10). An op may be submitted as `slices`
-// ordered quanta: the scheduler calls body(0), body(1), ... body(slices-1)
-// in strictly increasing order, but between two quanta it is free to run
-// slices of other, more urgent ops — a late-arriving high-priority op
-// preempts an in-flight chunked transfer at a chunk boundary instead of
-// waiting behind the whole thing. (A member of an op group runs all its
-// slices back to back; see NegotiatedScheduler::Group.) Every preemption (switching away from a
-// partially-executed op) bumps the "sched.preemptions" counter. Handles
-// complete when the final slice finishes; if any slice throws, the op fails
-// with that exception and the remaining slices never run.
+// Execution contract. The comm thread runs each op's body once, whole; a
+// late-arriving urgent op waits for the running one (the paper's priority
+// queue orders whole transfers; chunk_bytes only splits an op's wire
+// messages, DESIGN.md §10). The handle completes when the body returns;
+// if the body throws, the op fails with that exception.
 #pragma once
 
 #include <condition_variable>
@@ -48,10 +43,9 @@ enum class OpKind {
 const char* op_kind_name(OpKind k);
 
 // Completion record for tests, timeline rendering, and the perf
-// observatory (seconds since scheduler construction). For chunked ops,
-// start is the first slice's start and end the final slice's end. kind and
-// bytes are copied from the OpDesc so per-OpKind bytes-on-wire can be
-// aggregated from the log alone.
+// observatory (seconds since scheduler construction). kind and bytes are
+// copied from the OpDesc so per-OpKind bytes-on-wire can be aggregated from
+// the log alone.
 struct ExecRecord {
   std::string name;
   double start = 0.0;
@@ -112,8 +106,8 @@ class Handle {
   std::shared_ptr<detail::OpState> state_;
 };
 
-// One chunk quantum of an op's body: called with the slice index, in
-// strictly increasing order from 0 to slices-1.
+// A sliced body: called with the slice index, in strictly increasing order
+// from 0 to slices-1, all within one op (NegotiatedScheduler::submit).
 using SliceFn = std::function<void(int64_t)>;
 
 }  // namespace embrace::sched

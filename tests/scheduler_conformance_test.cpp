@@ -1,29 +1,22 @@
 // Scheduler conformance suite: every test body runs on every rank of a
 // NegotiatedScheduler cluster at worlds 1 through 4 — typed OpDesc submit,
-// chunked slices, preemption at chunk boundaries, op groups, replay of
+// sliced bodies run as one op, whole-unit execution, op groups, replay of
 // repeated groups without announcements, failure propagation, drain, name
 // reuse, and overlap with the training thread.
 // At world 1 the leader's own queue is the whole story; at worlds 2-4
 // followers execute the leader's announced order, so each body's per-rank
-// expectations also pin that order. A final multi-rank test pins the preemption contract
-// where it matters: a chunked dense transfer through a 4-rank
-// NegotiatedScheduler interrupted by a high-priority op at a chunk
-// boundary, identically on every rank.
+// expectations also pin that order.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "comm/chunked_collectives.h"
 #include "comm/cluster.h"
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -71,8 +64,6 @@ OpDesc desc(std::string name, double priority, OpKind kind = OpKind::kOther) {
   d.kind = kind;
   return d;
 }
-
-int64_t preemptions() { return obs::counter("sched.preemptions").value(); }
 
 int64_t announcements() {
   return obs::counter("sched.announcements").value();
@@ -156,37 +147,6 @@ TEST_P(Conformance, ChunkedSlicesRunInOrder) {
     ASSERT_EQ(s.records().size(), 1u);
     EXPECT_EQ(s.records()[0].name, "chunked");
   });
-}
-
-TEST_P(Conformance, HighPriorityOpPreemptsChunkedAtSliceBoundary) {
-  const int64_t preempt0 = preemptions();
-  run([](NegotiatedScheduler& s) {
-    std::atomic<bool> started{false};
-    std::atomic<bool> release{false};
-    Handle dense = s.submit(
-        desc("dense", 10.0, OpKind::kDense), 4, [&](int64_t i) {
-          if (i == 0) {
-            started = true;
-            while (!release) {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-          }
-        });
-    // Submit the urgent op while slice 0 is still executing: the scheduler
-    // must run it before dense's remaining slices.
-    while (!started) std::this_thread::sleep_for(std::chrono::microseconds(200));
-    Handle hot = s.submit(desc("hot", 0.0, OpKind::kSparsePrior), [] {});
-    release = true;
-    hot.wait();
-    dense.wait();
-    s.drain();
-    const auto records = s.records();
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].name, "hot");
-    EXPECT_EQ(records[1].name, "dense");
-  });
-  // Counted by the leader only, whatever the world size.
-  EXPECT_EQ(preemptions() - preempt0, 1);
 }
 
 TEST_P(Conformance, SliceFailureFailsOpAndBacklog) {
@@ -277,21 +237,21 @@ TEST_P(Conformance, GroupIsAnnouncedOnce) {
     }
     s.drain();
     const int64_t sent1 = sent();
-    // A plain chunked op is announced once per quantum.
+    // A plain sliced op is one unit too: announced once, whatever its
+    // slice count.
     s.submit(desc("plain", 1.0), 4, [](int64_t) {});
     s.drain();
     EXPECT_EQ(s.records().size(), 4u);
     if (c.rank() == 0) {
       EXPECT_EQ(sent1 - sent0, world - 1);
-      EXPECT_EQ(sent() - sent1, 4 * (world - 1));
+      EXPECT_EQ(sent() - sent1, world - 1);
     }
   }));
   // Leader only, stop token excluded; nothing is announced at world 1.
-  EXPECT_EQ(announcements() - announced0, world > 1 ? 1 + 4 : 0);
+  EXPECT_EQ(announcements() - announced0, world > 1 ? 1 + 1 : 0);
 }
 
 TEST_P(Conformance, UrgentOpWaitsForRunningGroupButPreemptsPlainOp) {
-  const int64_t preempt0 = preemptions();
   run([](NegotiatedScheduler& s) {
     std::atomic<bool> started{false};
     std::atomic<bool> release{false};
@@ -313,8 +273,8 @@ TEST_P(Conformance, UrgentOpWaitsForRunningGroupButPreemptsPlainOp) {
     EXPECT_TRUE(g1.done());
     EXPECT_TRUE(g2.done());
 
-    // The same urgent op against a plain chunked op jumps in at the next
-    // chunk boundary.
+    // A plain sliced op is a one-member unit: the urgent op waits for all
+    // of it as well.
     started = false;
     release = false;
     Handle plain = s.submit(desc("plain", 10.0), 4, [&](int64_t i) {
@@ -327,15 +287,13 @@ TEST_P(Conformance, UrgentOpWaitsForRunningGroupButPreemptsPlainOp) {
     Handle hot2 = s.submit(desc("hot2", 0.0), [] {});
     release = true;
     hot2.wait();
-    plain.wait();
+    EXPECT_TRUE(plain.done());
     s.drain();
     std::vector<std::string> order;
     for (const auto& r : s.records()) order.push_back(r.name);
-    EXPECT_EQ(order, (std::vector<std::string>{"g1", "g2", "hot", "hot2",
-                                               "plain"}));
+    EXPECT_EQ(order, (std::vector<std::string>{"g1", "g2", "hot", "plain",
+                                               "hot2"}));
   });
-  // Only the plain op was split (counted by the leader only).
-  EXPECT_EQ(preemptions() - preempt0, 1);
 }
 
 TEST_P(Conformance, GroupMemberFailureFailsGroupAndBacklog) {
@@ -539,8 +497,8 @@ TEST_P(Conformance, PlainChunkedOpDuringReplayIsAnnouncedPerQuantum) {
       s.drain();
     }
     const int64_t replaying = sent();
-    // A plain op has no signature: it leaves replay and keeps its
-    // per-quantum negotiation.
+    // A plain op has no signature: it leaves replay and is announced once,
+    // whatever its slice count.
     s.submit(desc("plain", 100.0), 4, [](int64_t) {});
     s.drain();
     const int64_t plain = sent();
@@ -553,13 +511,13 @@ TEST_P(Conformance, PlainChunkedOpDuringReplayIsAnnouncedPerQuantum) {
     submit_group(s, 5, {"g"});
     s.drain();
     if (c.rank() == 0) {
-      EXPECT_EQ(plain - replaying, 4 * (world - 1));
+      EXPECT_EQ(plain - replaying, world - 1);
       EXPECT_EQ(rearmed - plain, 2 * (world - 1));
       EXPECT_EQ(sent(), rearmed);
     }
     EXPECT_EQ(s.records().size(), 7u);
   }));
-  EXPECT_EQ(announcements() - announced0, world > 1 ? 2 + 4 + 2 : 0);
+  EXPECT_EQ(announcements() - announced0, world > 1 ? 2 + 1 + 2 : 0);
   EXPECT_EQ(replayed() - replayed0, 2);
 }
 
@@ -737,64 +695,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<int>& param_info) {
       return "World" + std::to_string(param_info.param);
     });
-
-// The end-to-end preemption contract: on a real 4-rank cluster, a chunked
-// dense AllReduce driven slice-by-slice through the NegotiatedScheduler is
-// preempted at a chunk boundary by a late high-priority op — on every rank,
-// at the same boundary (the leader's announcement stream is the execution
-// order), with the dense result still bitwise-correct.
-TEST(NegotiatedChunked, HighPriorityOpPreemptsDenseTransferOnAllRanks) {
-  constexpr int kRanks = 4;
-  constexpr int64_t kElems = 1 << 14;
-  constexpr int64_t kChunk = 1024;
-  const int64_t preempt0 = obs::counter("sched.preemptions").value();
-  std::mutex mu;
-  std::vector<std::vector<ExecRecord>> logs(kRanks);
-  comm::Fabric fabric(kRanks);
-  comm::run_cluster(fabric, [&](comm::Communicator& comm) {
-    comm::Communicator data_ch = comm.channel(1);
-    NegotiatedScheduler scheduler(comm.channel(0));
-    std::vector<float> dense(kElems,
-                             static_cast<float>(comm.rank() + 1));
-    std::vector<float> hot{1.0f};
-    const int64_t slices =
-        comm::ChunkedAllReduce::num_quanta(kElems, kRanks, kChunk);
-    ASSERT_GT(slices, 4);
-    auto cursor =
-        std::make_shared<std::optional<comm::ChunkedAllReduce>>();
-    OpDesc dense_desc = desc("dense", 10.0, OpKind::kDense);
-    Handle dense_h =
-        scheduler.submit(dense_desc, slices, [&, cursor](int64_t i) {
-          if (i == 0) {
-            cursor->emplace(data_ch, std::span<float>(dense), kChunk);
-          }
-          (*cursor)->run_quantum(i);
-          // Stretch each quantum so the hot op reliably lands mid-flight.
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    Handle hot_h = scheduler.submit(desc("hot", 0.0, OpKind::kSparsePrior),
-                                    [&] { data_ch.allreduce(hot); });
-    hot_h.wait();
-    dense_h.wait();
-    scheduler.shutdown();
-    // The chunked transfer still produced the full ring-AllReduce sum.
-    const float expected = static_cast<float>(kRanks * (kRanks + 1) / 2);
-    for (const float v : dense) ASSERT_EQ(v, expected);
-    EXPECT_EQ(hot[0], static_cast<float>(kRanks));
-    std::lock_guard<std::mutex> lock(mu);
-    logs[static_cast<size_t>(comm.rank())] = scheduler.records();
-  });
-  // Every rank executed hot before dense completed (same announced order).
-  for (int r = 0; r < kRanks; ++r) {
-    const auto& log = logs[static_cast<size_t>(r)];
-    ASSERT_EQ(log.size(), 2u) << "rank " << r;
-    EXPECT_EQ(log[0].name, "hot") << "rank " << r;
-    EXPECT_EQ(log[1].name, "dense") << "rank " << r;
-  }
-  // Counted once (leader only), not once per rank.
-  EXPECT_GE(obs::counter("sched.preemptions").value() - preempt0, 1);
-}
 
 }  // namespace
 }  // namespace embrace::sched
