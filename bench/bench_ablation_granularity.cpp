@@ -3,13 +3,17 @@
 //
 // Sweeps allreduce_chunked's chunk_bytes over a multi-MB buffer on a 4-rank
 // in-process cluster and times it against the monolithic ring
-// (Communicator::allreduce). Finer chunks pipeline the wire but pay
-// per-message overhead; the sweep shows where that trade lands, with the
-// wire messages each rank sends per AllReduce.
+// (Communicator::allreduce, one message per ring step). Finer chunks
+// pipeline the wire but pay per-message overhead; the sweep shows where
+// that trade lands, with the wire messages each rank sends per AllReduce.
+// Every case is timed in alternating repetitions within one cluster run,
+// and each gauge is the median over repetitions, so one slow stretch of
+// a shared host cannot skew one case's number against another's.
 //
 // Emits every number as a gauge to BENCH_granularity.json; the CI
 // bench-smoke job gates on granularity.default_chunk_us (must not be
 // slower than ~1.25x the monolithic path).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -38,21 +42,34 @@ constexpr int64_t kDefaultChunk = 256 * 1024;  // the gated configuration
 
 obs::MetricsRegistry registry;
 
-// Times `iters` iterations of an SPMD body over a fresh 4-rank cluster;
-// returns rank 0's per-iteration wall clock after one warmup round (which
-// also primes the buffer pools).
-double time_collective(Fabric& fabric, int iters,
-                       const std::function<void(Communicator&)>& body) {
-  double us = 0.0;
+// Times every SPMD body in `bodies` over one 4-rank cluster run: after one
+// warmup call of each (which also primes the buffer pools), `reps`
+// repetitions each run `iters` iterations of every body in turn, so a
+// change in host load between repetitions hits all bodies alike. Returns
+// per body the median over repetitions of rank 0's per-iteration wall
+// clock.
+std::vector<double> time_alternating(
+    Fabric& fabric, int reps, int iters,
+    const std::vector<std::function<void(Communicator&)>>& bodies) {
+  std::vector<std::vector<double>> samples(bodies.size());
   run_cluster(fabric, [&](Communicator& c) {
-    body(c);  // warmup
-    c.barrier();
-    Stopwatch sw;
-    for (int i = 0; i < iters; ++i) body(c);
-    c.barrier();
-    if (c.rank() == 0) us = sw.micros() / iters;
+    for (const auto& body : bodies) body(c);  // warmup
+    for (int rep = 0; rep < reps; ++rep) {
+      for (size_t b = 0; b < bodies.size(); ++b) {
+        c.barrier();
+        Stopwatch sw;
+        for (int i = 0; i < iters; ++i) bodies[b](c);
+        c.barrier();
+        if (c.rank() == 0) samples[b].push_back(sw.micros() / iters);
+      }
+    }
   });
-  return us;
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
 }
 
 std::vector<float> make_data(int rank) {
@@ -93,6 +110,7 @@ int main() {
   check_equality(chunk_sizes);
   std::puts("bitwise equality chunked vs monolithic: OK");
 
+  constexpr int kReps = 7;
   constexpr int kIters = 6;
   // Each rank sends one message per wire slice: 2(N-1) ring steps, each
   // its block's slice count (the blocks are equal here).
@@ -101,32 +119,35 @@ int main() {
            ChunkPlan::over(kElems / kRanks, chunk, sizeof(float))
                .num_chunks();
   };
-  TextTable t({"chunk", "us/allreduce", "msgs/rank"});
-  double mono_us = 0.0;
-  {
-    Fabric fabric(kRanks);
-    std::vector<float> data = make_data(0);
-    mono_us = time_collective(fabric, kIters, [&](Communicator& c) {
-      std::vector<float> local = data;
-      c.allreduce(local);
-    });
-    registry.gauge("granularity.monolithic_us").set(mono_us);
-    t.add_row({"monolithic", TextTable::num(mono_us, 1),
-               TextTable::num(static_cast<double>(msgs_per_rank(0)), 0)});
-  }
+  // Body 0 is the monolithic ring, body k the k-th chunk size.
+  const std::vector<float> data = make_data(0);
+  std::vector<std::function<void(Communicator&)>> bodies = {
+      [&](Communicator& c) {
+        std::vector<float> local = data;
+        c.allreduce(local);
+      }};
   for (const int64_t chunk : chunk_sizes) {
-    Fabric fabric(kRanks);
-    std::vector<float> data = make_data(0);
-    const double us = time_collective(fabric, kIters, [&](Communicator& c) {
+    bodies.push_back([&data, chunk](Communicator& c) {
       std::vector<float> local = data;
       allreduce_chunked(c, local, chunk);
     });
+  }
+  Fabric fabric(kRanks);
+  const std::vector<double> us =
+      time_alternating(fabric, kReps, kIters, bodies);
+  TextTable t({"chunk", "us/allreduce", "msgs/rank"});
+  registry.gauge("granularity.monolithic_us").set(us[0]);
+  t.add_row({"monolithic", TextTable::num(us[0], 1),
+             TextTable::num(static_cast<double>(msgs_per_rank(0)), 0)});
+  for (size_t k = 0; k < chunk_sizes.size(); ++k) {
+    const int64_t chunk = chunk_sizes[k];
     const std::string label = std::to_string(chunk / 1024) + "KB";
-    registry.gauge("granularity.allreduce_us{chunk=" + label + "}").set(us);
+    registry.gauge("granularity.allreduce_us{chunk=" + label + "}")
+        .set(us[k + 1]);
     if (chunk == kDefaultChunk) {
-      registry.gauge("granularity.default_chunk_us").set(us);
+      registry.gauge("granularity.default_chunk_us").set(us[k + 1]);
     }
-    t.add_row({label, TextTable::num(us, 1),
+    t.add_row({label, TextTable::num(us[k + 1], 1),
                TextTable::num(static_cast<double>(msgs_per_rank(chunk)), 0)});
   }
   t.print();

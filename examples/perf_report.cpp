@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(k.ops));
   }
   // Control plane (DESIGN.md §10): the leader announces each negotiation
-  // unit once — an op group, or one quantum of a plain op — until the
+  // unit once — an op group, or a plain op on its own — until the
   // step's groups repeat; from then on it replays them without a message.
   std::printf("\nscheduler announcements: %lld\n",
               static_cast<long long>(

@@ -1,7 +1,7 @@
 // Chunk arithmetic for chunk-granular communication (DESIGN.md §10).
 //
 // ChunkPlan slices a contiguous element range into fixed-byte chunks (the
-// transfer quanta of the pipelined collectives). It is pure arithmetic:
+// wire messages of the chunked ring AllReduce). It is pure arithmetic:
 // every rank computing a plan over the same inputs gets the same answer,
 // which the chunked collectives rely on for tag alignment.
 #pragma once
@@ -20,7 +20,7 @@ struct ChunkPlan {
   int64_t chunk_elems = 1;  // elements per chunk (the last may be shorter)
 
   // chunk_bytes <= 0 means "unbounded": one chunk covers everything.
-  // 0 < chunk_bytes < elem_bytes degrades to 1-element quanta (never zero:
+  // 0 < chunk_bytes < elem_bytes degrades to 1-element chunks (never zero:
   // a zero-element chunk would make num_chunks unbounded and stall the
   // pipelined ring), so chunks may exceed the byte budget by up to one
   // element — the budget bounds slicing granularity, not message size.

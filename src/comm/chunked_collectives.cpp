@@ -19,6 +19,11 @@ void allreduce_chunked(Communicator& comm, std::span<float> data,
   calls_counter.increment();
   obs::ScopedSpan span("allreduce_chunked", "bytes", payload, "channel",
                        comm.channel_id());
+  ring_walk(comm, data, chunk_bytes, op, codec, /*gather=*/true);
+}
+
+void ring_walk(Communicator& comm, std::span<float> data, int64_t chunk_bytes,
+               ReduceOp op, const Codec* codec, bool gather) {
   const int n = comm.size();
   if (n == 1) return;
   const int rank = comm.rank();
@@ -28,16 +33,17 @@ void allreduce_chunked(Communicator& comm, std::span<float> data,
   const int64_t max_block = total / n + (total % n > 0 ? 1 : 0);
   const int64_t kmax =
       ChunkPlan::over(max_block, chunk_bytes, sizeof(float)).num_chunks();
-  const uint64_t base_tag = comm.reserve_tags(2 * (n - 1) * kmax);
+  const int64_t steps = (gather ? 2 : 1) * (n - 1);
+  const uint64_t base_tag = comm.reserve_tags(steps * kmax);
   const int to = (rank + 1) % n;
   const int from = (rank - 1 + n) % n;
   std::vector<float> decode_scratch;
   std::vector<std::byte> wire_scratch;
-  for (int64_t step = 0; step < 2 * (n - 1); ++step) {
-    // Same block walk as the monolithic ring (reduce_scatter + allgather in
-    // Communicator): reduce-scatter step s sends block (rank-s-1) and
-    // receive-reduces block (rank-s-2); allgather step s forwards block
-    // (rank-s) and receive-copies block (rank-s-1).
+  for (int64_t step = 0; step < steps; ++step) {
+    // Reduce-scatter step s sends block (rank-s-1) and receive-reduces
+    // block (rank-s-2), so after N-1 steps rank r holds the full reduction
+    // of block r; allgather step s forwards block (rank-s) and
+    // receive-copies block (rank-s-1).
     const bool reduce_phase = step < n - 1;
     const int s = static_cast<int>(reduce_phase ? step : step - (n - 1));
     const int send_chunk = reduce_phase ? (rank - s - 1 + 2 * n) % n

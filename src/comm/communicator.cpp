@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "comm/chunked_collectives.h"
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -297,61 +298,17 @@ std::vector<float> Communicator::reduce_scatter(std::span<float> data,
                                                 ReduceOp op) {
   EMBRACE_COLLECTIVE_PROLOGUE(
       "reduce_scatter", static_cast<int64_t>(data.size() * sizeof(float)));
-  return reduce_scatter_impl(data, op);
-}
-
-std::vector<float> Communicator::reduce_scatter_impl(std::span<float> data,
-                                                     ReduceOp op) {
-  const int n = size();
-  const int64_t total = static_cast<int64_t>(data.size());
-  // Ring reduce-scatter: in step s, rank sends chunk (rank - s - 1) and
-  // receives chunk (rank - s - 2), accumulating into its copy. This offset
-  // is chosen so that after N-1 steps rank r holds the full reduction of
-  // chunk r (its own chunk under chunk_range()).
-  for (int s = 0; s < n - 1; ++s) {
-    const uint64_t tag = next_tag();
-    const int send_chunk = (rank_ - s - 1 + 2 * n) % n;
-    const int recv_chunk = (rank_ - s - 2 + 2 * n) % n;
-    const auto [sb, se] = chunk_range(total, send_chunk);
-    const auto [rb, re] = chunk_range(total, recv_chunk);
-    const int to = (rank_ + 1) % n;
-    const int from = (rank_ - 1 + n) % n;
-    send_float_block(to, tag,
-                     data.subspan(static_cast<size_t>(sb),
-                                  static_cast<size_t>(se - sb)));
-    recv_reduce_block(from, tag,
-                      data.subspan(static_cast<size_t>(rb),
-                                   static_cast<size_t>(re - rb)),
-                      op);
-  }
-  const auto [mb, me] = chunk_range(total, rank_);
+  ring_walk(*this, data, /*chunk_bytes=*/0, op, /*codec=*/nullptr,
+            /*gather=*/false);
+  const auto [mb, me] = chunk_range(static_cast<int64_t>(data.size()), rank_);
   return std::vector<float>(data.begin() + mb, data.begin() + me);
 }
 
 void Communicator::allreduce(std::span<float> data, ReduceOp op) {
   EMBRACE_COLLECTIVE_PROLOGUE(
       "allreduce", static_cast<int64_t>(data.size() * sizeof(float)));
-  const int n = size();
-  if (n == 1) return;
-  const int64_t total = static_cast<int64_t>(data.size());
-  (void)reduce_scatter_impl(data, op);
-  // Ring allgather of the reduced chunks: in step s, rank forwards chunk
-  // (rank - s) and receives chunk (rank - s - 1).
-  for (int s = 0; s < n - 1; ++s) {
-    const uint64_t tag = next_tag();
-    const int send_chunk = (rank_ - s + 2 * n) % n;
-    const int recv_chunk = (rank_ - s - 1 + 2 * n) % n;
-    const auto [sb, se] = chunk_range(total, send_chunk);
-    const auto [rb, re] = chunk_range(total, recv_chunk);
-    const int to = (rank_ + 1) % n;
-    const int from = (rank_ - 1 + n) % n;
-    send_float_block(to, tag,
-                     data.subspan(static_cast<size_t>(sb),
-                                  static_cast<size_t>(se - sb)));
-    recv_copy_block(from, tag,
-                    data.subspan(static_cast<size_t>(rb),
-                                 static_cast<size_t>(re - rb)));
-  }
+  ring_walk(*this, data, /*chunk_bytes=*/0, op, /*codec=*/nullptr,
+            /*gather=*/true);
 }
 
 std::vector<Bytes> Communicator::gatherv(const Bytes& mine, int root) {
@@ -391,29 +348,22 @@ Bytes Communicator::scatterv(std::vector<Bytes> parts, int root) {
 }
 
 std::vector<float> Communicator::allgather(std::span<const float> block) {
-  EMBRACE_COLLECTIVE_PROLOGUE(
-      "allgather", static_cast<int64_t>(block.size() * sizeof(float)));
-  const int n = size();
-  const int64_t block_size = static_cast<int64_t>(block.size());
-  std::vector<float> out(static_cast<size_t>(block_size) * n);
-  std::copy(block.begin(), block.end(),
-            out.begin() + static_cast<int64_t>(rank_) * block_size);
-  // Ring: in step s, forward the block that originated at rank (rank - s).
-  for (int s = 0; s < n - 1; ++s) {
-    const uint64_t tag = next_tag();
-    const int send_origin = (rank_ - s + n) % n;
-    const int recv_origin = (rank_ - s - 1 + n) % n;
-    const int to = (rank_ + 1) % n;
-    const int from = (rank_ - 1 + n) % n;
-    std::span<const float> send_block{
-        out.data() + static_cast<size_t>(send_origin) * block_size,
-        static_cast<size_t>(block_size)};
-    send_float_block(to, tag, send_block);
-    recv_copy_block(from, tag,
-                    std::span<float>{
-                        out.data() + static_cast<size_t>(recv_origin) *
-                                         static_cast<size_t>(block_size),
-                        static_cast<size_t>(block_size)});
+  const size_t block_bytes = block.size() * sizeof(float);
+  EMBRACE_COLLECTIVE_PROLOGUE("allgather", static_cast<int64_t>(block_bytes));
+  // One round: the pairwise exchange ships this rank's block to each of
+  // the N−1 peers, the same messages and bytes per rank as a ring.
+  Bytes mine(block_bytes);
+  if (!mine.empty()) std::memcpy(mine.data(), block.data(), block_bytes);
+  const std::vector<SharedBytes> blocks =
+      allgatherv_shared_impl(std::move(mine));
+  std::vector<float> out(block.size() * blocks.size());
+  for (size_t r = 0; r < blocks.size(); ++r) {
+    EMBRACE_CHECK_EQ(blocks[r]->size(), block_bytes,
+                     << "float payload size mismatch");
+    if (block_bytes > 0) {
+      std::memcpy(out.data() + r * block.size(), blocks[r]->data(),
+                  block_bytes);
+    }
   }
   return out;
 }

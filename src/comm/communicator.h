@@ -2,8 +2,8 @@
 //
 // Mirrors the slice of NCCL/MPI the paper's system uses:
 //   send/recv, Barrier, Broadcast, ring AllReduce, ReduceScatter,
-//   ring AllGather, AllGatherv (variable byte payloads), pairwise
-//   AlltoAll / AlltoAllv.
+//   AllGather and AllGatherv (one-round pairwise exchange; AllGatherv
+//   takes variable byte payloads), pairwise AlltoAll / AlltoAllv.
 //
 // SPMD contract: every member rank calls the same collectives in the same
 // order *per channel, per group*. Distinct channels (see channel()) have
@@ -94,17 +94,20 @@ class Communicator {
   void broadcast(std::span<float> data, int root);
 
   // In-place ring AllReduce (reduce-scatter + allgather), the Horovod/NCCL
-  // algorithm whose cost the paper models as 2(N-1)(M/(N·B) + α).
+  // algorithm whose cost the paper models as 2(N-1)(M/(N·B) + α). Runs
+  // ring_walk (chunked_collectives.h) with one message per ring step.
   void allreduce(std::span<float> data, ReduceOp op = ReduceOp::kSum);
 
-  // Reduce-scatter: input `data` of equal size on all ranks; on return the
-  // caller's chunk (chunk_range(rank)) holds the reduced values. Returns the
-  // reduced chunk copied out for convenience.
+  // Ring reduce-scatter, the first half of allreduce: input `data` of equal
+  // size on all ranks; on return the caller's chunk (chunk_range(rank))
+  // holds the reduced values. Returns the reduced chunk copied out for
+  // convenience.
   std::vector<float> reduce_scatter(std::span<float> data,
                                     ReduceOp op = ReduceOp::kSum);
 
-  // Ring AllGather of equal-size blocks: result is size*block concatenated
-  // in rank order.
+  // AllGather of equal-size blocks in one round (pairwise exchange, N−1
+  // messages of one block per rank): result is size*block concatenated in
+  // rank order.
   std::vector<float> allgather(std::span<const float> block);
 
   // AllGather of variable-size byte payloads (pairwise exchange; each rank
@@ -184,9 +187,9 @@ class Communicator {
   // Same deadline/recovery discipline, returning a shared (zero-copy) view.
   SharedBytes checked_recv_shared(int src, uint64_t tag);
   // Uninstrumented bodies shared by the public entry points, so a collective
-  // built on another (allreduce -> reduce_scatter, alltoall -> alltoallv)
-  // traces one span and counts its payload bytes exactly once.
-  std::vector<float> reduce_scatter_impl(std::span<float> data, ReduceOp op);
+  // built on another (alltoall -> alltoallv, allgather -> allgatherv_shared)
+  // traces one span and counts its payload bytes exactly once. The ring
+  // behind allreduce and reduce_scatter is ring_walk (chunked_collectives.h).
   std::vector<Bytes> alltoallv_impl(std::vector<Bytes> send);
   std::vector<SharedBytes> allgatherv_shared_impl(Bytes mine);
 

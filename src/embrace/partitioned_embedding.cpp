@@ -249,18 +249,6 @@ std::vector<std::vector<int64_t>> PartitionedEmbedding::allgather_ids(
                                  std::numeric_limits<int64_t>::max())[0]);
 }
 
-Tensor PartitionedEmbedding::shard_lookup(
-    const std::vector<int64_t>& ids) const {
-  Tensor out({static_cast<int64_t>(ids.size()), shard_width()});
-  for (size_t k = 0; k < ids.size(); ++k) {
-    EMBRACE_CHECK(ids[k] >= 0 && ids[k] < vocab_, << "id out of vocab");
-    auto src = shard_.row(ids[k]);
-    auto dst = out.row(static_cast<int64_t>(k));
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
 PartitionedEmbedding::LookupResult PartitionedEmbedding::distributed_lookup(
     comm::Communicator& comm, std::span<const TableLookup> tables,
     comm::CommGroup* group, std::span<const TableGrad> carry) {

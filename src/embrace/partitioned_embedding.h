@@ -153,9 +153,6 @@ class PartitionedEmbedding {
   SparseRows exchange_grad(comm::Communicator& comm, const SparseRows& part,
                            const EmbedExchange& ex = {}) const;
 
-  // Local-only helpers (used by tests and by exchange/lookup internally).
-  Tensor shard_lookup(const std::vector<int64_t>& ids) const;
-
  private:
   int64_t vocab_;
   int64_t dim_;

@@ -1,7 +1,10 @@
 // allreduce_chunked correctness: the chunked pipelined ring must be
 // BITWISE-equal to the monolithic Communicator::allreduce for every world
 // size, payload size, chunk size, and reduce op — the invariant that lets
-// the trainer flip chunk_bytes without perturbing a single loss bit. Also
+// the trainer flip chunk_bytes without perturbing a single loss bit. The
+// monolithic call is the same ring walk at chunk 0, so these checks compare
+// chunk k against chunk 0; the ring's sums themselves are checked against
+// independent references in collectives_test and collective_fuzz_test. Also
 // exercises the chunked path under a codec and under recoverable fault
 // injection.
 #include <gtest/gtest.h>

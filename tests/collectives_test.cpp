@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -273,18 +274,48 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, CollectivesP,
 
 TEST(CollectivesTraffic, RingAllReduceMatchesAnalyticVolume) {
   // Table 2: ring AllReduce moves 2(N-1) chunks of M/N floats per rank.
+  // Every ring step is one message, an empty block included, so the
+  // per-rank message count does not depend on the length. Over its N-1
+  // steps the reduce-scatter half sends every block but the rank's own,
+  // and the allgather half forwards every block but the next rank's.
+  // AllGather ships the rank's block to each of the N-1 peers.
   constexpr int kN = 4;
-  constexpr int64_t kLen = 1024;  // divisible by kN so chunks are exact
-  Fabric fabric(kN);
-  run_cluster(fabric, [&](Communicator& comm) {
-    std::vector<float> data(kLen, 1.0f);
-    comm.allreduce(data);
-  });
-  const int64_t expected_bytes_per_rank =
-      2 * (kN - 1) * (kLen / kN) * static_cast<int64_t>(sizeof(float));
-  for (int r = 0; r < kN; ++r) {
-    EXPECT_EQ(fabric.traffic_from(r).bytes, expected_bytes_per_rank);
-    EXPECT_EQ(fabric.traffic_from(r).messages, 2 * (kN - 1));
+  constexpr int64_t kF = sizeof(float);
+  // 1024 splits into exact chunks; 3 < N leaves block 0 empty; 0 leaves
+  // every block empty.
+  for (const int64_t len : {int64_t{1024}, int64_t{3}, int64_t{0}}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    const auto block = [&](int r) {
+      return len * (r + 1) / kN - len * r / kN;
+    };
+    Fabric fabric(kN);
+    const auto expect_sent = [&](const char* what, int64_t messages,
+                                 const auto& floats_from) {
+      SCOPED_TRACE(what);
+      for (int r = 0; r < kN; ++r) {
+        EXPECT_EQ(fabric.traffic_from(r).bytes, floats_from(r) * kF);
+        EXPECT_EQ(fabric.traffic_from(r).messages, messages);
+      }
+      fabric.reset_traffic();
+    };
+    run_cluster(fabric, [&](Communicator& comm) {
+      std::vector<float> data(static_cast<size_t>(len), 1.0f);
+      comm.allreduce(data);
+    });
+    expect_sent("allreduce", 2 * (kN - 1), [&](int r) {
+      return (len - block(r)) + (len - block((r + 1) % kN));
+    });
+    run_cluster(fabric, [&](Communicator& comm) {
+      std::vector<float> data(static_cast<size_t>(len), 1.0f);
+      (void)comm.reduce_scatter(data);
+    });
+    expect_sent("reduce_scatter", kN - 1,
+                [&](int r) { return len - block(r); });
+    run_cluster(fabric, [&](Communicator& comm) {
+      const std::vector<float> mine(static_cast<size_t>(len), 1.0f);
+      (void)comm.allgather(mine);
+    });
+    expect_sent("allgather", kN - 1, [&](int) { return (kN - 1) * len; });
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <mutex>
 #include <numeric>
@@ -188,15 +189,20 @@ TEST(CommGroup, DeadInterNodeLinkRaisesTimeoutNamingLeaderEdge) {
   fabric.set_topology(make_topo(2, 2), LinkCost{}, LinkCost{});
   fabric.set_recv_timeout(std::chrono::milliseconds(250));
   // Black-hole the leader edge 2 -> 0 (leaders are the node-lowest fabric
-  // ranks 0 and 2). Only the inter-node stage crosses it.
+  // ranks 0 and 2) once every rank holds its group: building the group
+  // crosses every edge (split's allgather is a pairwise exchange), so the
+  // link dies between the two, with no message in flight. Then only the
+  // inter-node stage crosses it.
   FaultConfig dead;
   dead.drop_prob = 1.0;
   dead.recoverable = false;
-  fabric.set_link_faults(2, 0, dead);
+  std::barrier built(kRanks,
+                     [&]() noexcept { fabric.set_link_faults(2, 0, dead); });
   std::mutex mu;
   std::vector<TimeoutError> errors;
   run_cluster(fabric, [&](Communicator& comm) {
     CommGroup g = build_comm_group(comm);
+    built.arrive_and_wait();
     std::vector<float> data(16, 1.0f);
     try {
       hierarchical_allreduce(g, data);

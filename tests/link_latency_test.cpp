@@ -1,9 +1,10 @@
 // The fabric's α–β link emulation charges α as wire latency, paid once per
 // communication round, not once per send: on a 4-rank, zero-compute
-// fabric whose α (5 ms) dwarfs host noise, the pairwise collectives cost
-// one round and the ring AllReduce its 2(N−1) dependent rounds. Receives
-// never see a message before its ready time, and fault delays add to that
-// time without holding the sender.
+// fabric whose α (5 ms) dwarfs host noise, the pairwise collectives
+// (AlltoAllv, AllGatherv, AllGather) cost one round and the ring AllReduce
+// its 2(N−1) dependent rounds. Receives never see a message before its
+// ready time, and fault delays add to that time without holding the
+// sender.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,6 +80,15 @@ TEST(LinkLatency, AllGathervCostsOneRound) {
   const double us = median_round_us([](Communicator& comm) {
     const auto got = comm.allgatherv(Bytes(16));
     ASSERT_EQ(got.size(), static_cast<size_t>(kRanks));
+  });
+  EXPECT_NEAR(us, kAlphaUs, 0.25 * kAlphaUs);
+}
+
+TEST(LinkLatency, AllGatherCostsOneRound) {
+  const double us = median_round_us([](Communicator& comm) {
+    const std::vector<float> mine(16, 1.0f);
+    const auto got = comm.allgather(mine);
+    ASSERT_EQ(got.size(), 16u * kRanks);
   });
   EXPECT_NEAR(us, kAlphaUs, 0.25 * kAlphaUs);
 }

@@ -251,7 +251,7 @@ TEST_P(Conformance, GroupIsAnnouncedOnce) {
   EXPECT_EQ(announcements() - announced0, world > 1 ? 1 + 1 : 0);
 }
 
-TEST_P(Conformance, UrgentOpWaitsForRunningGroupButPreemptsPlainOp) {
+TEST_P(Conformance, UrgentOpWaitsForRunningUnit) {
   run([](NegotiatedScheduler& s) {
     std::atomic<bool> started{false};
     std::atomic<bool> release{false};
@@ -486,7 +486,7 @@ TEST_P(Conformance, ChangedSignatureCostsOneAnnouncementThenRearms) {
   EXPECT_EQ(replayed() - replayed0, 3);
 }
 
-TEST_P(Conformance, PlainChunkedOpDuringReplayIsAnnouncedPerQuantum) {
+TEST_P(Conformance, PlainSlicedOpDuringReplayIsAnnouncedOnce) {
   const int world = GetParam();
   const int64_t announced0 = announcements();
   const int64_t replayed0 = replayed();
