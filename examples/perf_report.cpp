@@ -14,13 +14,14 @@
 //     steps:    training steps                      (default 6)
 //     strategy: allreduce|allgather|novss|embrace   (default embrace)
 //     tables:   embedding tables                    (default 2)
-//     alpha_us: emulated per-message inter-node α   (default 50)
+//     alpha_us: emulated inter-node α per round     (default 50)
 //     gbps:     emulated link bandwidth in Gbit/s   (default 10)
 //     nodes:    cluster nodes (must divide workers; 0 = flat fabric,
 //               default). With nodes > 1 the fabric gets a two-tier
 //               topology — intra-node links at α/10 and 4x bandwidth —
-//               the trainer routes collectives over the CommGroup tree,
-//               and the report prints per-tier bytes on wire.
+//               the trainer runs the dense AllReduce over the CommGroup
+//               tree (the embedding AlltoAlls stay one flat round), and
+//               the report prints per-tier bytes on wire.
 //     codec:    gradient wire codec (identity|fp16|bf16|topk|adaptive,
 //               default identity). Non-identity runs compress gradient
 //               payloads and the report prints the per-codec
@@ -219,7 +220,9 @@ int main(int argc, char** argv) {
   }
   if (nodes > 0) {
     // Per-tier wire accounting from the fabric's topology counters: the
-    // hierarchical schedule should keep most bytes on the intra tier.
+    // two-level AllReduce confines the dense head's reduce and broadcast
+    // stages to the intra tier, while the flat embedding AlltoAlls send
+    // every cross-node payload over the inter tier directly.
     const int64_t intra_bytes =
         obs::counter("comm.bytes{tier=intra}").value();
     const int64_t inter_bytes =

@@ -29,12 +29,11 @@ struct CommGroup {
   // keep using it directly for non-hierarchical traffic.
   Communicator* world = nullptr;
   std::optional<Communicator> node;
-  std::optional<Communicator> leaders;  // engaged only where is_leader()
+  std::optional<Communicator> leaders;  // engaged only on node leaders
   int nodes = 1;
   int gpus_per_node = 1;
 
   bool two_level() const { return nodes > 1 && gpus_per_node > 1; }
-  bool is_leader() const { return !node || node->rank() == 0; }
 };
 
 // Builds the tree. Collective over `world` (every rank of the fabric must

@@ -328,25 +328,6 @@ std::vector<Bytes> Communicator::gatherv(const Bytes& mine, int root) {
   return out;
 }
 
-Bytes Communicator::scatterv(std::vector<Bytes> parts, int root) {
-  int64_t parts_bytes = 0;
-  for (const Bytes& p : parts) parts_bytes += static_cast<int64_t>(p.size());
-  EMBRACE_COLLECTIVE_PROLOGUE("scatterv", parts_bytes);
-  const int n = size();
-  const uint64_t tag = next_tag();
-  if (rank_ == root) {
-    EMBRACE_CHECK_EQ(static_cast<int>(parts.size()), n,
-                     << "one payload per rank required at the root");
-    for (int r = 0; r < n; ++r) {
-      if (r == root) continue;
-      fabric_->send(global_rank_, global(r), tag,
-                    std::move(parts[static_cast<size_t>(r)]));
-    }
-    return std::move(parts[static_cast<size_t>(root)]);
-  }
-  return checked_recv(root, tag);
-}
-
 std::vector<float> Communicator::allgather(std::span<const float> block) {
   const size_t block_bytes = block.size() * sizeof(float);
   EMBRACE_COLLECTIVE_PROLOGUE("allgather", static_cast<int64_t>(block_bytes));

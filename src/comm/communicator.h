@@ -53,8 +53,6 @@ class Communicator {
   Fabric& fabric() { return *fabric_; }
   // Fabric-level rank of this member (== rank() on world).
   int global_rank() const { return global_rank_; }
-  // Fabric-level rank of group rank r.
-  int global_of(int r) const { return global(r); }
   // This rank's wire-buffer pool. Collectives draw their send buffers from
   // here and recycle consumed receive buffers into it; callers that own a
   // received Bytes (alltoallv, recv_bytes) may do the same once done.
@@ -132,10 +130,6 @@ class Communicator {
   // Gather of variable-size byte payloads to `root`. Returns one payload
   // per rank on the root, an empty vector elsewhere.
   std::vector<Bytes> gatherv(const Bytes& mine, int root);
-
-  // Scatter of variable-size byte payloads from `root`: `parts` (root only)
-  // holds one payload per rank; returns this rank's part.
-  Bytes scatterv(std::vector<Bytes> parts, int root);
 
   // Chunk [begin, end) of a length-`total` vector owned by `rank` under the
   // ring algorithms' contiguous partitioning.

@@ -1,34 +1,29 @@
-// Two-level, topology-aware collectives over a CommGroup tree.
+// Two-level, topology-aware AllReduce over a CommGroup tree.
 //
 // The flat ring treats all N-1 hops alike, so at scale its 2(N-1) α terms
 // are all priced at the (expensive) inter-node start latency. The two-level
-// algorithms confine the inter-node tier to one participant per node:
+// algorithm confines the inter-node tier to one participant per node:
+// intra-node ring reduce-scatter, chunk gather to the node leader
+// (reduce-scatter + gather = reduce at ring bandwidth), inter-node ring
+// AllReduce across the leaders, intra-node binomial broadcast. Inter-node
+// α cost drops from 2(N-1) to 2(nodes-1) messages per rank.
 //
-//   hierarchical_allreduce — intra-node ring reduce-scatter, chunk gather
-//     to the node leader (reduce-scatter + gather = reduce at ring
-//     bandwidth), inter-node ring AllReduce across the leaders, intra-node
-//     binomial broadcast. Inter-node α cost drops from 2(N-1) to
-//     2(nodes-1) messages per rank.
+// Equivalence to the flat path: the two levels change the summation
+// bracketing, so float results are bitwise-equal to the flat ring only on
+// exact-arithmetic data (e.g. small-integer-valued floats — what the oracle
+// tests use) and within float tolerance otherwise; the final intra-node
+// broadcast guarantees all ranks agree bitwise with each other in every
+// case. It falls back to the flat world path when the group is not
+// two-level.
 //
-//   hierarchical_alltoallv — intra-node payloads move directly over the
-//     node group; remote-destined payloads are gathered to the node leader,
-//     bundled per destination node, exchanged leader-to-leader, and
-//     scattered to their local destinations. Inter-node message count drops
-//     from g² per node pair to 1.
-//
-// Equivalence to the flat path: AlltoAllv moves opaque bytes, so the result
-// is bitwise-identical to Communicator::alltoallv for any input. AllReduce
-// changes the summation bracketing, so float results are bitwise-equal to
-// the flat ring only on exact-arithmetic data (e.g. small-integer-valued
-// floats — what the oracle tests use) and within float tolerance otherwise;
-// the final intra-node broadcast guarantees all ranks agree bitwise with
-// each other in every case. Both fall back to the flat world path when the
-// group is not two-level.
+// There is no two-level AlltoAllv: the fabric charges α once per round at
+// the receiver, so the flat Communicator::alltoallv is one round, while a
+// node/leader/scatter relay would be three dependent rounds funnelled
+// through each leader's egress.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "comm/codec.h"
 #include "comm/comm_group.h"
@@ -49,10 +44,5 @@ void hierarchical_allreduce(CommGroup& g, std::span<float> data,
                             ReduceOp op = ReduceOp::kSum,
                             const Codec* codec = nullptr,
                             int64_t chunk_bytes = 0);
-
-// Two-level AlltoAllv: send[i] goes to world rank i; returns payloads
-// indexed by source world rank. Same contract as Communicator::alltoallv.
-std::vector<Bytes> hierarchical_alltoallv(CommGroup& g,
-                                          std::vector<Bytes> send);
 
 }  // namespace embrace::comm

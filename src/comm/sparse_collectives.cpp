@@ -359,41 +359,4 @@ SparseRows sparse_allreduce(CommGroup& group, const SparseRows& mine,
   return sparse_allreduce(*group.world, mine, algo, chunk_bytes, codec);
 }
 
-std::vector<SparseRows> sparse_alltoall(CommGroup& group,
-                                        std::vector<SparseRows> send,
-                                        const Codec* codec) {
-  EMBRACE_CHECK(group.world != nullptr);
-  Communicator& comm = *group.world;
-  if (!group.two_level()) return sparse_alltoall(comm, std::move(send), codec);
-  EMBRACE_CHECK_EQ(static_cast<int>(send.size()), comm.size());
-  std::vector<Bytes> payloads;
-  payloads.reserve(send.size());
-  for (const auto& s : send) payloads.push_back(pack_wire(comm, s, codec));
-  auto received = hierarchical_alltoallv(group, std::move(payloads));
-  std::vector<SparseRows> out;
-  out.reserve(received.size());
-  for (Bytes& buf : received) {
-    out.push_back(unpack_wire(buf, codec));
-    comm.pool().release(std::move(buf));
-  }
-  return out;
-}
-
-std::vector<SparseRows> sparse_alltoall(Communicator& comm,
-                                        std::vector<SparseRows> send,
-                                        const Codec* codec) {
-  EMBRACE_CHECK_EQ(static_cast<int>(send.size()), comm.size());
-  std::vector<Bytes> payloads;
-  payloads.reserve(send.size());
-  for (const auto& s : send) payloads.push_back(pack_wire(comm, s, codec));
-  auto received = comm.alltoallv(std::move(payloads));
-  std::vector<SparseRows> out;
-  out.reserve(received.size());
-  for (Bytes& buf : received) {
-    out.push_back(unpack_wire(buf, codec));
-    comm.pool().release(std::move(buf));
-  }
-  return out;
-}
-
 }  // namespace embrace::comm

@@ -5,8 +5,8 @@
 //  * sparse_allgather — Horovod-0.22-style sparse gradient aggregation
 //    (each rank contributes its local sparse gradient; every rank receives
 //    the sum of all of them, still in sparse form).
-//  * sparse_alltoall — EmbRace's hybrid-communication primitive: rank r
-//    sends payload[i] to rank i and receives one payload from every peer.
+//  * sparse_allreduce — the SparCML-style algorithm variants of the same
+//    sum, picked by the AlgoPicker.
 #pragma once
 
 #include <span>
@@ -115,18 +115,5 @@ struct CommGroup;
 SparseRows sparse_allreduce(CommGroup& group, const SparseRows& mine,
                             SparseAlgoKind algo, int64_t chunk_bytes = 0,
                             const Codec* codec = nullptr);
-
-// Hierarchical AlltoAll over the group tree: bitwise-identical payloads to
-// the flat sparse_alltoall (pure data movement), but remote payloads are
-// bundled through the node leaders.
-std::vector<SparseRows> sparse_alltoall(CommGroup& group,
-                                        std::vector<SparseRows> send,
-                                        const Codec* codec = nullptr);
-
-// Sends `send[i]` to rank i; returns the payload received from each rank,
-// indexed by source. All payloads must share row-space dimensions.
-std::vector<SparseRows> sparse_alltoall(Communicator& comm,
-                                        std::vector<SparseRows> send,
-                                        const Codec* codec = nullptr);
 
 }  // namespace embrace::comm

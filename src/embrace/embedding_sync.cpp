@@ -96,7 +96,7 @@ class HybridSync : public EmbeddingSync {
                                 .cache = caches_[t].get()});
           }
           const auto [rows, grads] = PartitionedEmbedding::distributed_lookup(
-              ctx_.comm_ch, sections, ctx_.grp,
+              ctx_.comm_ch, sections,
               grad_sections(carried.parts, carried.codecs));
           for (int t = 0; t < tables(); ++t) {
             scatter_rows(rows[t], seg.pos[t], emb_out);
@@ -228,7 +228,7 @@ class HybridSync : public EmbeddingSync {
     return [this, step, parts = std::move(parts),
             codecs = std::move(codecs)] {
       const std::vector<SparseRows> g = PartitionedEmbedding::exchange_grad(
-          ctx_.comm_ch, grad_sections(parts, codecs), ctx_.grp);
+          ctx_.comm_ch, grad_sections(parts, codecs));
       for (int t = 0; t < tables(); ++t) {
         opts_[t]->apply(shards_[t]->shard(), g[t], step);
       }

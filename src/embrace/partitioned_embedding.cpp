@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 
-#include "comm/hierarchical_collectives.h"
 #include "comm/sparse_collectives.h"
 #include "common/error.h"
 #include "embrace/hot_row_cache.h"
@@ -15,20 +14,6 @@
 
 namespace embrace::core {
 namespace {
-
-// Routes the AlltoAll through the two-level CommGroup path when one is
-// supplied (payloads are bitwise-identical either way — the hierarchical
-// variant only rebundles the wire messages).
-std::vector<comm::Bytes> exchange(comm::Communicator& comm,
-                                  comm::CommGroup* group,
-                                  std::vector<comm::Bytes> payloads) {
-  if (group != nullptr && group->two_level()) {
-    EMBRACE_CHECK(group->world == &comm,
-                  << "CommGroup must be built over this communicator");
-    return comm::hierarchical_alltoallv(*group, std::move(payloads));
-  }
-  return comm.alltoallv(std::move(payloads));
-}
 
 // Per-rank logical payload bytes entering the embedding AlltoAlls, split by
 // leg. bench_cache compares these between cached and uncached runs — the
@@ -251,7 +236,7 @@ std::vector<std::vector<int64_t>> PartitionedEmbedding::allgather_ids(
 
 PartitionedEmbedding::LookupResult PartitionedEmbedding::distributed_lookup(
     comm::Communicator& comm, std::span<const TableLookup> tables,
-    comm::CommGroup* group, std::span<const TableGrad> carry) {
+    std::span<const TableGrad> carry) {
   const int world = comm.size();
   const int rank = comm.rank();
   // Per table: the ids each worker's section carries, and the positions of
@@ -330,7 +315,7 @@ PartitionedEmbedding::LookupResult PartitionedEmbedding::distributed_lookup(
   }
   lookup_bytes_counter().add(wire_bytes);
   if (carried) grad_bytes_counter().add(grad_wire_bytes);
-  auto received = exchange(comm, group, std::move(payloads));
+  auto received = comm.alltoallv(std::move(payloads));
   // Assemble my batch's full-dim vectors from the column slices, reading the
   // wire buffers in place; the carried sections follow the lookup sections.
   LookupResult result;
@@ -399,13 +384,11 @@ Tensor PartitionedEmbedding::distributed_lookup(
     const std::vector<int64_t>& my_ids, const EmbedExchange& ex) const {
   const TableLookup one{
       .table = *this, .all_ids = all_ids, .my_ids = my_ids, .cache = ex.cache};
-  return std::move(
-      distributed_lookup(comm, std::span(&one, 1), ex.group).rows[0]);
+  return std::move(distributed_lookup(comm, std::span(&one, 1)).rows[0]);
 }
 
 std::vector<SparseRows> PartitionedEmbedding::exchange_grad(
-    comm::Communicator& comm, std::span<const TableGrad> tables,
-    comm::CommGroup* group) {
+    comm::Communicator& comm, std::span<const TableGrad> tables) {
   const GradSections grads(comm, tables);
   std::vector<comm::Bytes> payloads(static_cast<size_t>(comm.size()));
   int64_t wire_bytes = 0;
@@ -415,7 +398,7 @@ std::vector<SparseRows> PartitionedEmbedding::exchange_grad(
     wire_bytes += static_cast<int64_t>(buf.size());
   }
   grad_bytes_counter().add(wire_bytes);
-  auto received = exchange(comm, group, std::move(payloads));
+  auto received = comm.alltoallv(std::move(payloads));
   const std::vector<std::span<const std::byte>> parts(received.begin(),
                                                       received.end());
   std::vector<SparseRows> out = grads.sum(parts);
@@ -428,7 +411,7 @@ SparseRows PartitionedEmbedding::exchange_grad(comm::Communicator& comm,
                                                const EmbedExchange& ex) const {
   const TableGrad one{
       .table = *this, .part = part, .codec = ex.codec, .cache = ex.cache};
-  return std::move(exchange_grad(comm, std::span(&one, 1), ex.group)[0]);
+  return std::move(exchange_grad(comm, std::span(&one, 1))[0]);
 }
 
 // --- RowPartitionedEmbedding ---

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "comm/codec.h"
-#include "comm/comm_group.h"
 #include "comm/communicator.h"
 #include "common/rng.h"
 #include "tensor/sparse_rows.h"
@@ -31,24 +30,20 @@ namespace embrace::core {
 
 class HotRowCache;
 
-// Options for one embedding exchange (lookup or gradient leg). The old
-// surface grew one trailing default parameter per release (CommGroup, then
-// Codec, now the cache); callers pass this struct by const ref instead, so
-// adding a knob never touches call sites that don't care.
+// Options for one embedding exchange (lookup or gradient leg), passed by
+// const ref so adding a knob never touches call sites that don't care:
 //
-//   pe.distributed_lookup(comm, all_ids, my_ids, {.group = grp});
-//   pe.exchange_grad(comm, part, {.group = grp, .codec = codec});
+//   pe.exchange_grad(comm, part, {.codec = codec, .cache = cache});
 //
-// `group`: non-null and two-level routes the AlltoAll through the
-// hierarchical CommGroup path (bitwise-identical payloads, fewer
-// inter-node messages). `codec`: compresses gradient value bytes on the
-// wire (gradient leg only — lookups always ship exact parameters).
-// `cache`: a hot-row cache (DESIGN.md §15) splits the exchange — hot rows
-// are served/accumulated locally, only cold rows travel. The cache is
-// mutated (access counters, pending gradients), so exchanges carrying one
-// must run on the comm thread like every other cache touch.
+// `codec`: compresses gradient value bytes on the wire (gradient leg only —
+// lookups always ship exact parameters). `cache`: a hot-row cache
+// (DESIGN.md §15) splits the exchange — hot rows are served/accumulated
+// locally, only cold rows travel. The cache is mutated (access counters,
+// pending gradients), so exchanges carrying one must run on the comm thread
+// like every other cache touch. Either leg is one flat AlltoAllv on `comm`
+// whatever the topology: the fabric charges α once per round, and the flat
+// exchange is one round.
 struct EmbedExchange {
-  comm::CommGroup* group = nullptr;
   const comm::Codec* codec = nullptr;
   HotRowCache* cache = nullptr;
 };
@@ -120,7 +115,7 @@ class PartitionedEmbedding {
   // `carry` rides a gradient exchange on the same AlltoAll: each peer's
   // payload is its lookup sections followed by the exchange_grad sections
   // it owns, and `grads` returns, per carried table, bitwise what
-  // exchange_grad(comm, carry, group) would (empty without a carry).
+  // exchange_grad(comm, carry) would (empty without a carry).
   // EmbRace ships step s's delayed gradient inside step s+1's lookup this
   // way. With no carry the wire is the plain lookup's.
   struct LookupResult {
@@ -129,7 +124,6 @@ class PartitionedEmbedding {
   };
   static LookupResult distributed_lookup(comm::Communicator& comm,
                                          std::span<const TableLookup> tables,
-                                         comm::CommGroup* group = nullptr,
                                          std::span<const TableGrad> carry = {});
   Tensor distributed_lookup(comm::Communicator& comm,
                             const std::vector<std::vector<int64_t>>& all_ids,
@@ -148,8 +142,7 @@ class PartitionedEmbedding {
   // the cache's pending sync buffer instead of travelling; the returned
   // shard gradient covers cold rows only.
   static std::vector<SparseRows> exchange_grad(
-      comm::Communicator& comm, std::span<const TableGrad> tables,
-      comm::CommGroup* group = nullptr);
+      comm::Communicator& comm, std::span<const TableGrad> tables);
   SparseRows exchange_grad(comm::Communicator& comm, const SparseRows& part,
                            const EmbedExchange& ex = {}) const;
 

@@ -174,10 +174,9 @@ struct TrainConfig {
   // topo_nodes × topo_gpus_per_node must equal `workers`) and per-tier link
   // costs fall out of it: cross-node deliveries pay the link_* α–β above
   // (the inter tier), same-node deliveries pay the link_intra_* cost below.
-  // With >1 node and >1 GPU/node, dense AllReduce (chunking off) and the
-  // "two-level" sparse variant route through the hierarchical collectives
-  // over the CommGroup tree: results stay within float tolerance of the
-  // flat path, AlltoAll payloads are bitwise-identical.
+  // With >1 node and >1 GPU/node, dense AllReduce and the "two-level"
+  // sparse variant route through the hierarchical AllReduce over the
+  // CommGroup tree: results stay within float tolerance of the flat path.
   // 0 = no topology (flat fabric, all deliveries priced alike).
   int topo_nodes = 0;
   int topo_gpus_per_node = 0;

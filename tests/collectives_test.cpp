@@ -254,21 +254,6 @@ TEST_P(CollectivesP, GathervCollectsAtRoot) {
   });
 }
 
-TEST_P(CollectivesP, ScattervDistributesFromRoot) {
-  run_cluster(n(), [&](Communicator& comm) {
-    std::vector<Bytes> parts;
-    if (comm.rank() == 1 % n()) {
-      for (int r = 0; r < n(); ++r) {
-        parts.emplace_back(static_cast<size_t>(r + 2),
-                           static_cast<std::byte>(r * 3));
-      }
-    }
-    Bytes mine = comm.scatterv(std::move(parts), 1 % n());
-    ASSERT_EQ(mine.size(), static_cast<size_t>(comm.rank() + 2));
-    for (auto b : mine) ASSERT_EQ(b, static_cast<std::byte>(comm.rank() * 3));
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(RankSweep, CollectivesP,
                          ::testing::Values(1, 2, 3, 4, 5, 8));
 

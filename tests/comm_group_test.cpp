@@ -10,6 +10,7 @@
 #include <chrono>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "comm/cluster.h"
@@ -42,8 +43,14 @@ TEST(CommSplit, PartitionsByColorOrderedByKeyThenFabricRank) {
     const int expect_rank = (kRanks - 2 - comm.rank() + color) / 2;
     EXPECT_EQ(sub->rank(), expect_rank);
     EXPECT_EQ(sub->global_rank(), comm.rank());
+    // Group rank r is fabric rank kRanks - 2 - 2r + color: every member
+    // reports its fabric rank and the allgather lays them out by group rank.
+    const float me = static_cast<float>(sub->global_rank());
+    const std::vector<float> fabric_ranks = sub->allgather(std::span(&me, 1));
+    ASSERT_EQ(static_cast<int>(fabric_ranks.size()), sub->size());
     for (int r = 0; r < sub->size(); ++r) {
-      EXPECT_EQ(sub->global_of(r), kRanks - 2 - 2 * r + color);
+      EXPECT_EQ(fabric_ranks[static_cast<size_t>(r)],
+                static_cast<float>(kRanks - 2 - 2 * r + color));
     }
     // The sub-group is a working communicator: sum of members' ranks.
     std::vector<float> v{static_cast<float>(comm.rank())};
@@ -123,14 +130,15 @@ TEST(CommGroup, TreeShapeFollowsFabricTopology) {
     EXPECT_EQ(g.node->size(), 3);
     EXPECT_EQ(g.node->rank(), comm.rank() % 3);
     const bool leader = comm.rank() % 3 == 0;
-    EXPECT_EQ(g.is_leader(), leader);
     EXPECT_EQ(g.leaders.has_value(), leader);
     if (leader) {
-      // Leaders group rank k is node k (keyed by node id).
+      // Leaders group rank k is node k (keyed by node id), whose leader is
+      // the node's lowest fabric rank.
       EXPECT_EQ(g.leaders->size(), 2);
       EXPECT_EQ(g.leaders->rank(), comm.rank() / 3);
-      EXPECT_EQ(g.leaders->global_of(0), 0);
-      EXPECT_EQ(g.leaders->global_of(1), 3);
+      const float me = static_cast<float>(g.leaders->global_rank());
+      EXPECT_EQ(g.leaders->allgather(std::span(&me, 1)),
+                (std::vector<float>{0.0f, 3.0f}));
     }
   });
 }

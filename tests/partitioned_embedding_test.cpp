@@ -8,20 +8,16 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <string>
 
 #include "comm/cluster.h"
 #include "comm/codec.h"
-#include "comm/comm_group.h"
-#include "comm/fabric.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "data/corpus.h"
 #include "embrace/partitioned_embedding.h"
 #include "nn/embedding.h"
-#include "simnet/topology.h"
 #include "tensor/index_ops.h"
 
 namespace embrace::core {
@@ -178,86 +174,72 @@ TEST_P(PartitionedP, LookupCarryingGradEqualsSeparateExchanges) {
   // A lookup that carries gradient sections moves both legs in one
   // AlltoAll; it must return bitwise what distributed_lookup followed by
   // exchange_grad return, at one and three tables with one table empty on
-  // odd ranks, raw and fp16-encoded, on the flat and the two-level route.
+  // odd ranks, raw and fp16-encoded.
   constexpr int64_t kVocab = 25, kDim = 8;
   const std::unique_ptr<comm::Codec> fp16 =
       comm::make_codec(comm::CodecKind::kFp16);
   const std::array<const comm::Codec*, 2> codecs{nullptr, fp16.get()};
-  for (const bool two_level : {false, true}) {
-    if (two_level && world() != 4) continue;
-    for (const int tables : {1, 3}) {
-      for (const comm::Codec* codec : codecs) {
-        SCOPED_TRACE(std::string(two_level ? "2x2" : "flat") + " tables=" +
-                     std::to_string(tables) +
-                     (codec != nullptr ? " fp16" : " raw"));
-        comm::Fabric fabric(world());
-        if (two_level) {
-          simnet::ClusterTopology topo;
-          topo.nodes = 2;
-          topo.gpus_per_node = 2;
-          fabric.set_topology(topo, comm::LinkCost{}, comm::LinkCost{});
+  for (const int tables : {1, 3}) {
+    for (const comm::Codec* codec : codecs) {
+      SCOPED_TRACE("tables=" + std::to_string(tables) +
+                   (codec != nullptr ? " fp16" : " raw"));
+      comm::run_cluster(world(), [&](comm::Communicator& comm) {
+        const int me = comm.rank();
+        std::vector<std::unique_ptr<PartitionedEmbedding>> shards;
+        std::vector<std::vector<int64_t>> my_ids(tables);
+        std::vector<SparseRows> grads;
+        for (int t = 0; t < tables; ++t) {
+          shards.push_back(std::make_unique<PartitionedEmbedding>(
+              kVocab, kDim, me, world(),
+              Rng(5).split(static_cast<uint64_t>(t))));
+          // The middle table is empty on odd ranks: lookup and gradient.
+          const int n = (t == tables / 2 && me % 2 == 1) ? 0 : 3 + me + t;
+          for (int i = 0; i < n; ++i) {
+            my_ids[t].push_back((me * 5 + t * 7 + i * 3) % kVocab);
+          }
+          // Every rank's gradient starts with the same rows, so the
+          // order in which the ranks' sections are summed shows in the
+          // bits.
+          std::vector<int64_t> grad_ids;
+          for (int i = 0; i < n; ++i) {
+            grad_ids.push_back((t * 11 + i * 4 + 1) % kVocab);
+          }
+          Rng vr = Rng(13).split(static_cast<uint64_t>(me * tables + t));
+          grads.emplace_back(
+              kVocab, grad_ids,
+              Tensor::randn({static_cast<int64_t>(n), kDim}, vr));
         }
-        comm::run_cluster(fabric, [&](comm::Communicator& comm) {
-          const int me = comm.rank();
-          std::optional<comm::CommGroup> grp;
-          if (two_level) grp.emplace(comm::build_comm_group(comm));
-          comm::CommGroup* group = grp.has_value() ? &*grp : nullptr;
-          std::vector<std::unique_ptr<PartitionedEmbedding>> shards;
-          std::vector<std::vector<int64_t>> my_ids(tables);
-          std::vector<SparseRows> grads;
-          for (int t = 0; t < tables; ++t) {
-            shards.push_back(std::make_unique<PartitionedEmbedding>(
-                kVocab, kDim, me, world(),
-                Rng(5).split(static_cast<uint64_t>(t))));
-            // The middle table is empty on odd ranks: lookup and gradient.
-            const int n = (t == tables / 2 && me % 2 == 1) ? 0 : 3 + me + t;
-            for (int i = 0; i < n; ++i) {
-              my_ids[t].push_back((me * 5 + t * 7 + i * 3) % kVocab);
-            }
-            // Every rank's gradient starts with the same rows, so the
-            // order in which the ranks' sections are summed shows in the
-            // bits.
-            std::vector<int64_t> grad_ids;
-            for (int i = 0; i < n; ++i) {
-              grad_ids.push_back((t * 11 + i * 4 + 1) % kVocab);
-            }
-            Rng vr = Rng(13).split(static_cast<uint64_t>(me * tables + t));
-            grads.emplace_back(
-                kVocab, grad_ids,
-                Tensor::randn({static_cast<int64_t>(n), kDim}, vr));
-          }
-          const auto all_ids =
-              PartitionedEmbedding::allgather_ids(comm, my_ids, kVocab);
-          std::vector<TableLookup> lookups;
-          std::vector<TableGrad> parts;
-          for (int t = 0; t < tables; ++t) {
-            lookups.push_back({.table = *shards[t],
-                               .all_ids = all_ids[t],
-                               .my_ids = my_ids[t]});
-            parts.push_back(
-                {.table = *shards[t], .part = grads[t], .codec = codec});
-          }
-          const auto merged = PartitionedEmbedding::distributed_lookup(
-              comm, lookups, group, parts);
-          const auto rows =
-              PartitionedEmbedding::distributed_lookup(comm, lookups, group);
-          EXPECT_TRUE(rows.grads.empty());
-          const auto shard_grads =
-              PartitionedEmbedding::exchange_grad(comm, parts, group);
-          ASSERT_EQ(merged.rows.size(), static_cast<size_t>(tables));
-          ASSERT_EQ(merged.grads.size(), static_cast<size_t>(tables));
-          for (int t = 0; t < tables; ++t) {
-            EXPECT_TRUE(
-                bitwise_equal(merged.rows[t].flat(), rows.rows[t].flat()))
-                << "table " << t;
-            EXPECT_EQ(merged.grads[t].indices(), shard_grads[t].indices())
-                << "table " << t;
-            EXPECT_TRUE(bitwise_equal(merged.grads[t].values().flat(),
-                                      shard_grads[t].values().flat()))
-                << "table " << t;
-          }
-        });
-      }
+        const auto all_ids =
+            PartitionedEmbedding::allgather_ids(comm, my_ids, kVocab);
+        std::vector<TableLookup> lookups;
+        std::vector<TableGrad> parts;
+        for (int t = 0; t < tables; ++t) {
+          lookups.push_back({.table = *shards[t],
+                             .all_ids = all_ids[t],
+                             .my_ids = my_ids[t]});
+          parts.push_back(
+              {.table = *shards[t], .part = grads[t], .codec = codec});
+        }
+        const auto merged =
+            PartitionedEmbedding::distributed_lookup(comm, lookups, parts);
+        const auto rows =
+            PartitionedEmbedding::distributed_lookup(comm, lookups);
+        EXPECT_TRUE(rows.grads.empty());
+        const auto shard_grads =
+            PartitionedEmbedding::exchange_grad(comm, parts);
+        ASSERT_EQ(merged.rows.size(), static_cast<size_t>(tables));
+        ASSERT_EQ(merged.grads.size(), static_cast<size_t>(tables));
+        for (int t = 0; t < tables; ++t) {
+          EXPECT_TRUE(
+              bitwise_equal(merged.rows[t].flat(), rows.rows[t].flat()))
+              << "table " << t;
+          EXPECT_EQ(merged.grads[t].indices(), shard_grads[t].indices())
+              << "table " << t;
+          EXPECT_TRUE(bitwise_equal(merged.grads[t].values().flat(),
+                                    shard_grads[t].values().flat()))
+              << "table " << t;
+        }
+      });
     }
   }
 }

@@ -42,31 +42,6 @@ TEST_P(SparseCollectivesP, SparseAllgatherEqualsDenseSum) {
   });
 }
 
-TEST_P(SparseCollectivesP, SparseAlltoAllRoutesPayloads) {
-  constexpr int64_t kRows = 30;
-  constexpr int64_t kDim = 2;
-  run_cluster(n(), [&](Communicator& comm) {
-    std::vector<SparseRows> send;
-    for (int dst = 0; dst < n(); ++dst) {
-      // Row index encodes (src, dst) so the receiver can verify routing.
-      const int64_t row = (comm.rank() * n() + dst) % kRows;
-      Tensor vals({1, kDim});
-      vals.at({0, 0}) = static_cast<float>(comm.rank());
-      vals.at({0, 1}) = static_cast<float>(dst);
-      send.emplace_back(kRows, std::vector<int64_t>{row}, std::move(vals));
-    }
-    auto recv = sparse_alltoall(comm, std::move(send));
-    ASSERT_EQ(static_cast<int>(recv.size()), n());
-    for (int src = 0; src < n(); ++src) {
-      const auto& s = recv[static_cast<size_t>(src)];
-      ASSERT_EQ(s.nnz_rows(), 1);
-      EXPECT_EQ(s.indices()[0], (src * n() + comm.rank()) % kRows);
-      EXPECT_FLOAT_EQ(s.values().at({0, 0}), static_cast<float>(src));
-      EXPECT_FLOAT_EQ(s.values().at({0, 1}), static_cast<float>(comm.rank()));
-    }
-  });
-}
-
 TEST_P(SparseCollectivesP, TensorAllreduceSums) {
   run_cluster(n(), [&](Communicator& comm) {
     Tensor t = Tensor::full({3, 3}, static_cast<float>(comm.rank() + 1));

@@ -400,6 +400,33 @@ TEST(Trainer, EmbRaceCarriesDelayedInNextLookup) {
   }
 }
 
+TEST(Trainer, TwoTierHybridAlltoAllvMatchesFlatFabric) {
+  // The hybrid exchanges are one flat AlltoAllv on every topology: a 2x2
+  // fabric runs exactly the AlltoAllv calls a flat one does, with no node
+  // or leader AlltoAllvs relaying the embedding payloads.
+  constexpr int kWorkers = 4;
+  obs::Counter& alltoallvs = obs::counter("comm.calls{collective=alltoallv}");
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRaceNoVss, StrategyKind::kEmbRace}) {
+    SCOPED_TRACE(strategy_kind_name(s));
+    TrainConfig cfg = base_config();
+    cfg.strategy = s;
+    cfg.num_tables = 2;
+    cfg.min_sentence_len = 4;
+    cfg.steps = 4;
+    const auto calls = [&] {
+      const int64_t before = alltoallvs.value();
+      run_distributed(cfg, kWorkers);
+      return alltoallvs.value() - before;
+    };
+    const int64_t flat = calls();
+    cfg.topo_nodes = 2;
+    cfg.topo_gpus_per_node = 2;
+    EXPECT_GT(flat, 0);
+    EXPECT_EQ(calls(), flat);
+  }
+}
+
 TEST(Trainer, HybridStrategiesGatherIdsOncePerStep) {
   // With the cache off, the hybrid strategies' only allgatherv calls are
   // the id gathers on the main thread, each carrying every table: step 0
