@@ -200,6 +200,16 @@ int main(int argc, char** argv) {
                 static_cast<long long>(
                     obs::counter("sparse.algo.bytes" + label).value()));
   }
+  // Dense AllReduce routes (DESIGN.md §10): every allreduce counts the
+  // route its α–β pick took, the one-round one-shot or the ring.
+  std::printf("\ndense allreduce routes:\n");
+  for (const char* algo : {"one_shot", "ring"}) {
+    std::printf("  %-20s %6lld calls\n", algo,
+                static_cast<long long>(
+                    obs::counter(std::string("comm.allreduce_algo{algo=") +
+                                 algo + "}")
+                        .value()));
+  }
   // Codec compression accounting (DESIGN.md §14): bytes_in is raw value
   // bytes offered to each codec, bytes_out what actually hit the wire.
   bool any_codec = false;

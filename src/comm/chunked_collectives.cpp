@@ -1,8 +1,11 @@
 #include "comm/chunked_collectives.h"
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "comm/chunk_plan.h"
+#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -19,7 +22,45 @@ void allreduce_chunked(Communicator& comm, std::span<float> data,
   calls_counter.increment();
   obs::ScopedSpan span("allreduce_chunked", "bytes", payload, "channel",
                        comm.channel_id());
+  allreduce_walk(comm, data, chunk_bytes, op, codec);
+}
+
+void allreduce_walk(Communicator& comm, std::span<float> data,
+                    int64_t chunk_bytes, ReduceOp op, const Codec* codec) {
+  static obs::Counter& one_shot_counter =
+      obs::counter("comm.allreduce_algo{algo=one_shot}");
+  static obs::Counter& ring_counter =
+      obs::counter("comm.allreduce_algo{algo=ring}");
+  const int64_t bytes = static_cast<int64_t>(data.size() * sizeof(float));
+  if (codec == nullptr &&
+      pick_dense_allreduce(bytes, comm.size(), comm.worst_link()) ==
+          DenseAllReduceAlgo::kOneShot) {
+    one_shot_counter.increment();
+    one_shot_walk(comm, data, op);
+    return;
+  }
+  ring_counter.increment();
   ring_walk(comm, data, chunk_bytes, op, codec, /*gather=*/true);
+}
+
+void one_shot_walk(Communicator& comm, std::span<float> data, ReduceOp op) {
+  const int n = comm.size();
+  if (n == 1) return;
+  Bytes mine(data.size() * sizeof(float));
+  if (!mine.empty()) std::memcpy(mine.data(), data.data(), mine.size());
+  const std::vector<SharedBytes> parts =
+      comm.allgatherv_shared_impl(std::move(mine));
+  for (int r = 0; r < n; ++r) {
+    const std::span<const float> in =
+        float_view(*parts[static_cast<size_t>(r)]);
+    if (r == 0) {
+      EMBRACE_CHECK_EQ(in.size(), data.size(),
+                       << "float payload size mismatch");
+      std::copy(in.begin(), in.end(), data.begin());
+    } else {
+      reduce_into(data, in, op);
+    }
+  }
 }
 
 void ring_walk(Communicator& comm, std::span<float> data, int64_t chunk_bytes,

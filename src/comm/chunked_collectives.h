@@ -1,7 +1,16 @@
-// The ring AllReduce, with its wire messages split into <= chunk_bytes
-// slices (DESIGN.md §10). It is the only ring in src/comm:
-// Communicator::allreduce is this walk at chunk_bytes 0 with no codec, and
-// Communicator::reduce_scatter is its reduce half.
+// The dense AllReduce (DESIGN.md §10). Its two routes are the ring, with
+// its wire messages split into <= chunk_bytes slices, and the one-shot: an
+// allgather of the whole buffer plus a local sum in rank order 0..N-1.
+// allreduce_walk picks between them (pick_dense_allreduce, fabric.h) and
+// serves both allreduce_chunked and Communicator::allreduce; the ring is
+// the only ring in src/comm, and Communicator::reduce_scatter is its reduce
+// half. The pick ignores chunk_bytes, and a non-null codec keeps the ring,
+// whose owner-block projection (below) the one-shot lacks.
+//
+// The one-shot costs one round: every rank posts its N-1 sends before any
+// receive, then sums the received buffers in place, straight from the
+// shared receive views. Every rank adds the same N buffers in the same
+// order, so the ranks end bitwise identical.
 //
 // The ring runs 2(N-1) steps, each sending one block and receive-reducing
 // (reduce-scatter half) or receive-copying (allgather half) another. Each
@@ -13,7 +22,7 @@
 // included. The call runs whole; chunking changes the wire, not the
 // scheduling.
 //
-// Invariants (tested):
+// Ring invariants (tested):
 //  * Bitwise reproducibility. The block partition (chunk_range over the
 //    full span) and the per-element reduce order do not depend on the
 //    chunk size; only the wire messages are split. Results are
@@ -33,10 +42,10 @@
 
 namespace embrace::comm {
 
-// In-place ring AllReduce with <= chunk_bytes wire slices (chunk_bytes <= 0:
-// one slice per ring step). `data` must have equal size on all ranks.
-// Bitwise-equal to Communicator::allreduce when codec is null (or
-// lossless).
+// In-place AllReduce (allreduce_walk) with <= chunk_bytes wire slices on
+// the ring (chunk_bytes <= 0: one slice per ring step). `data` must have
+// equal size on all ranks. Bitwise-equal to Communicator::allreduce when
+// codec is null (or lossless).
 //
 // With a non-null `codec` every wire slice travels codec-encoded (and is
 // decoded + reduced on arrival); all ranks must pass an equivalent codec
@@ -47,12 +56,23 @@ void allreduce_chunked(Communicator& comm, std::span<float> data,
                        int64_t chunk_bytes, ReduceOp op = ReduceOp::kSum,
                        const Codec* codec = nullptr);
 
-// The uninstrumented walk behind allreduce_chunked, Communicator::allreduce
-// and Communicator::reduce_scatter; it opens no span and counts nothing,
-// so each public entry traces and counts its own call once. With
-// `gather` false it stops after the reduce-scatter half, when rank r holds
-// the reduction of block chunk_range(total, r), and reserves only that
-// half's tags.
+// The uninstrumented pick behind allreduce_chunked and
+// Communicator::allreduce: runs one_shot_walk when there is no codec and
+// pick_dense_allreduce prices it below the ring on comm.worst_link(),
+// ring_walk otherwise, and counts the route in
+// comm.allreduce_algo{algo=one_shot|ring}. It opens no span, so each public
+// entry traces and counts its own call once.
+void allreduce_walk(Communicator& comm, std::span<float> data,
+                    int64_t chunk_bytes, ReduceOp op, const Codec* codec);
+
+// The one-shot route: the uninstrumented allgatherv_shared body, then an
+// in-place sum in rank order 0..N-1 from the shared receive views.
+void one_shot_walk(Communicator& comm, std::span<float> data, ReduceOp op);
+
+// The ring route, also behind Communicator::reduce_scatter; it opens no
+// span and counts nothing. With `gather` false it stops after the
+// reduce-scatter half, when rank r holds the reduction of block
+// chunk_range(total, r), and reserves only that half's tags.
 void ring_walk(Communicator& comm, std::span<float> data, int64_t chunk_bytes,
                ReduceOp op, const Codec* codec, bool gather);
 

@@ -26,15 +26,6 @@
 namespace embrace::comm {
 namespace {
 
-// Read-only float view over a wire buffer. Wire payloads live in
-// std::vector<std::byte> storage (allocator-aligned to max_align_t) and are
-// filled by memcpy from float arrays, so the reinterpret is well-aligned.
-std::span<const float> float_view(const Bytes& buf) {
-  EMBRACE_CHECK_EQ(buf.size() % sizeof(float), 0u);
-  return {reinterpret_cast<const float*>(buf.data()),
-          buf.size() / sizeof(float)};
-}
-
 // The deadline/recovery receive loop, shared by the owning and the shared
 // (zero-copy) receive paths. `try_recv(wait)` returns an optional message;
 // `block_recv()` blocks forever (reliable fast path).
@@ -84,6 +75,15 @@ auto checked_recv_loop(Fabric& fabric, int rank, int channel, int src,
 }
 
 }  // namespace
+
+// Wire payloads live in std::vector<std::byte> storage (allocator-aligned
+// to max_align_t) and are filled by memcpy from float arrays, so the
+// reinterpret is well-aligned.
+std::span<const float> float_view(const Bytes& buf) {
+  EMBRACE_CHECK_EQ(buf.size() % sizeof(float), 0u);
+  return {reinterpret_cast<const float*>(buf.data()),
+          buf.size() / sizeof(float)};
+}
 
 void reduce_into(std::span<float> acc, std::span<const float> in,
                  ReduceOp op) {
@@ -257,6 +257,24 @@ std::pair<int64_t, int64_t> Communicator::chunk_range(int64_t total,
   return {bound(chunk_rank), bound(chunk_rank + 1)};
 }
 
+LinkCost Communicator::worst_link() const {
+  LinkCost worst;
+  if (!fabric_->link_costs_enabled()) return worst;
+  const int n = size();
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      if (a == b) continue;
+      const LinkCost c = fabric_->link_cost(global(a), global(b));
+      worst.alpha_us = std::max(worst.alpha_us, c.alpha_us);
+      if (c.bytes_per_us > 0.0 &&
+          (worst.bytes_per_us == 0.0 || c.bytes_per_us < worst.bytes_per_us)) {
+        worst.bytes_per_us = c.bytes_per_us;
+      }
+    }
+  }
+  return worst;
+}
+
 void Communicator::barrier() {
   EMBRACE_COLLECTIVE_PROLOGUE("barrier", 0);
   // Dissemination barrier: ceil(log2 N) rounds of token exchange.
@@ -307,8 +325,7 @@ std::vector<float> Communicator::reduce_scatter(std::span<float> data,
 void Communicator::allreduce(std::span<float> data, ReduceOp op) {
   EMBRACE_COLLECTIVE_PROLOGUE(
       "allreduce", static_cast<int64_t>(data.size() * sizeof(float)));
-  ring_walk(*this, data, /*chunk_bytes=*/0, op, /*codec=*/nullptr,
-            /*gather=*/true);
+  allreduce_walk(*this, data, /*chunk_bytes=*/0, op, /*codec=*/nullptr);
 }
 
 std::vector<Bytes> Communicator::gatherv(const Bytes& mine, int root) {

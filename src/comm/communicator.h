@@ -1,9 +1,10 @@
 // Rank-local handle to the in-process collective runtime.
 //
 // Mirrors the slice of NCCL/MPI the paper's system uses:
-//   send/recv, Barrier, Broadcast, ring AllReduce, ReduceScatter,
-//   AllGather and AllGatherv (one-round pairwise exchange; AllGatherv
-//   takes variable byte payloads), pairwise AlltoAll / AlltoAllv.
+//   send/recv, Barrier, Broadcast, AllReduce (ring or one-shot),
+//   ReduceScatter, AllGather and AllGatherv (one-round pairwise exchange;
+//   AllGatherv takes variable byte payloads), pairwise AlltoAll /
+//   AlltoAllv.
 //
 // SPMD contract: every member rank calls the same collectives in the same
 // order *per channel, per group*. Distinct channels (see channel()) have
@@ -91,9 +92,12 @@ class Communicator {
   // In-place broadcast from `root`; data must have equal size on all ranks.
   void broadcast(std::span<float> data, int root);
 
-  // In-place ring AllReduce (reduce-scatter + allgather), the Horovod/NCCL
-  // algorithm whose cost the paper models as 2(N-1)(M/(N·B) + α). Runs
-  // ring_walk (chunked_collectives.h) with one message per ring step.
+  // In-place AllReduce over the route pick_dense_allreduce prices cheaper
+  // on this group's worst link (allreduce_walk, chunked_collectives.h):
+  // the ring (reduce-scatter + allgather), the Horovod/NCCL algorithm whose
+  // cost the paper models as 2(N-1)(M/(N·B) + α), with one message per ring
+  // step; or the one-shot allgather plus rank-order sum, one round for
+  // latency-bound buffers. Without link costs it is always the ring.
   void allreduce(std::span<float> data, ReduceOp op = ReduceOp::kSum);
 
   // Ring reduce-scatter, the first half of allreduce: input `data` of equal
@@ -135,6 +139,13 @@ class Communicator {
   // ring algorithms' contiguous partitioning.
   std::pair<int64_t, int64_t> chunk_range(int64_t total, int chunk_rank) const;
 
+  // The worst link between two members as the fabric charges it: the
+  // largest α and the smallest bandwidth over every ordered member pair
+  // (0 bytes_per_us is infinite bandwidth); a zero cost without link
+  // costs. Every member reads the same table, so every member gets the
+  // same answer.
+  LinkCost worst_link() const;
+
   // --- building blocks for external collectives (chunked_collectives.h) ---
   // Reserves `count` consecutive sequence tags and returns the first one.
   // SPMD contract: every rank must reserve the same count at the same point
@@ -158,6 +169,10 @@ class Communicator {
   void recv_copy_block(int src, uint64_t tag, std::span<float> dst);
   void recv_reduce_block(int src, uint64_t tag, std::span<float> acc,
                          ReduceOp op);
+  // The uninstrumented body of allgatherv_shared: it opens no span and
+  // counts nothing, so a collective built on it (allgather, the one-shot
+  // AllReduce) traces and counts its own call once.
+  std::vector<SharedBytes> allgatherv_shared_impl(Bytes mine);
 
  private:
   // Sub-group constructor: `members` maps group rank -> fabric rank,
@@ -180,12 +195,10 @@ class Communicator {
   Bytes checked_recv(int src, uint64_t tag);
   // Same deadline/recovery discipline, returning a shared (zero-copy) view.
   SharedBytes checked_recv_shared(int src, uint64_t tag);
-  // Uninstrumented bodies shared by the public entry points, so a collective
-  // built on another (alltoall -> alltoallv, allgather -> allgatherv_shared)
-  // traces one span and counts its payload bytes exactly once. The ring
-  // behind allreduce and reduce_scatter is ring_walk (chunked_collectives.h).
+  // Uninstrumented body shared by alltoall and alltoallv, so each traces
+  // one span and counts its payload bytes exactly once. The walks behind
+  // allreduce and reduce_scatter are in chunked_collectives.h.
   std::vector<Bytes> alltoallv_impl(std::vector<Bytes> send);
-  std::vector<SharedBytes> allgatherv_shared_impl(Bytes mine);
 
   Fabric* fabric_;
   // Group rank -> fabric rank; null on world communicators (identity map).
@@ -199,5 +212,8 @@ class Communicator {
 
 // Applies `op` elementwise: acc = op(acc, in).
 void reduce_into(std::span<float> acc, std::span<const float> in, ReduceOp op);
+
+// Read-only float view over a wire buffer filled from a float array.
+std::span<const float> float_view(const Bytes& buf);
 
 }  // namespace embrace::comm

@@ -106,6 +106,18 @@ void Fabric::set_link_faults(int src, int dst, const FaultConfig& cfg) {
   faults_enabled_.store(any, std::memory_order_relaxed);
 }
 
+DenseAllReduceAlgo pick_dense_allreduce(int64_t bytes, int n,
+                                        const LinkCost& link) {
+  const int64_t block = (bytes + n - 1) / n;
+  const double ring =
+      2.0 * (n - 1) *
+      (link.alpha_us + link.wire_us(static_cast<size_t>(block)));
+  const double one_shot =
+      link.alpha_us + (n - 1) * link.wire_us(static_cast<size_t>(bytes));
+  return one_shot < ring ? DenseAllReduceAlgo::kOneShot
+                         : DenseAllReduceAlgo::kRing;
+}
+
 void Fabric::set_uniform_link_cost(const LinkCost& cost) {
   for (auto& c : link_cost_) c = cost;
   link_costs_enabled_.store(cost.any(), std::memory_order_relaxed);

@@ -85,6 +85,22 @@ struct LinkCost {
   }
 };
 
+// The two routes of a dense AllReduce (DESIGN.md §10).
+enum class DenseAllReduceAlgo { kRing, kOneShot };
+
+// Prices both routes of a dense AllReduce of `bytes` over `n` ranks on
+// `link` under the round model the fabric charges (α once per round, a
+// sender's bytes serialized on its egress) and returns the cheaper one:
+//   ring:     2(N−1)·(α + ⌈B/N⌉·β)  2(N−1) dependent rounds of one block;
+//   one-shot: α + (N−1)·B·β          one round, but the sender's egress
+//                                     serializes N−1 copies of the buffer.
+// Ties go to the ring, so a fabric without link costs keeps it. Pass the
+// group's worst link (Communicator::worst_link): every rank reads the same
+// table, so the pick is a pure function of (B, N, table) and agrees across
+// ranks.
+DenseAllReduceAlgo pick_dense_allreduce(int64_t bytes, int n,
+                                        const LinkCost& link);
+
 // Thrown when a receive misses its deadline. Names the blocked edge so a
 // dead peer surfaces as a diagnosable error instead of a silent hang.
 class TimeoutError : public Error {

@@ -43,8 +43,8 @@ void hierarchical_allreduce(CommGroup& g, std::span<float> data, ReduceOp op,
       }
       node.pool().release(std::move(part));
     }
-    // Stage 2: inter-node ring AllReduce of the full node sums across the
-    // leaders — the only stage that touches the expensive tier, and hence
+    // Stage 2: inter-node AllReduce (ring or one-shot, as priced) of the
+    // full node sums across the leaders — the only stage that touches the expensive tier, and hence
     // the only one a wire codec compresses.
     allreduce_chunked(*g.leaders, data, chunk_bytes, op, codec);
   }

@@ -4,9 +4,10 @@
 // are all priced at the (expensive) inter-node start latency. The two-level
 // algorithm confines the inter-node tier to one participant per node:
 // intra-node ring reduce-scatter, chunk gather to the node leader
-// (reduce-scatter + gather = reduce at ring bandwidth), inter-node ring
-// AllReduce across the leaders, intra-node binomial broadcast. Inter-node
-// α cost drops from 2(N-1) to 2(nodes-1) messages per rank.
+// (reduce-scatter + gather = reduce at ring bandwidth), inter-node
+// AllReduce across the leaders (the ring, or the one-shot where its α–β
+// pick prices that cheaper), intra-node binomial broadcast. On the ring,
+// inter-node α cost drops from 2(N-1) to 2(nodes-1) messages per rank.
 //
 // Equivalence to the flat path: the two levels change the summation
 // bracketing, so float results are bitwise-equal to the flat ring only on

@@ -80,8 +80,9 @@ enum class SparseAlgoKind {
   // result back after the exchange. Wins at mid densities on latency-bound
   // fabrics: each payload crosses the wire O(log N) times, not N−1.
   kRecursiveDoubling,
-  // Dense fallback: materialize to_dense(), ride the chunked ring AllReduce
-  // (bitwise equal to Communicator::allreduce), return the nonzero rows.
+  // Dense fallback: materialize to_dense(), ride allreduce_chunked (the
+  // ring, or the one-shot where its α–β pick prices that cheaper; bitwise
+  // equal to Communicator::allreduce), return the nonzero rows.
   // Wins past the α–β crossover density where index overhead and the
   // (N−1)·S allgather volume exceed the ring's 2(N−1)·M/N. Result is
   // coalesced by construction.

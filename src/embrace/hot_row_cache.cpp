@@ -144,8 +144,9 @@ void HotRowCache::refresh(comm::Communicator& comm,
   const int64_t vocab = shard_->vocab();
   const int64_t dim = shard_->dim();
   // The epoch vote: allreduce the per-row access counters so every rank
-  // ranks rows by the same global counts. The ring AllReduce is
-  // deterministic, so even float ties resolve identically everywhere.
+  // ranks rows by the same global counts. Both AllReduce routes leave
+  // every rank the same bits, so even float ties resolve identically
+  // everywhere.
   std::vector<float> votes = access_;
   std::fill(access_.begin(), access_.end(), 0.0f);
   comm.allreduce(votes);

@@ -21,7 +21,7 @@ namespace embrace::core {
 // embedding gradient travels in DENSE format through a PS, and
 // communication is priority-scheduled (ByteScheduler).
 enum class StrategyKind {
-  kHorovodAllReduce,  // embeddings communicated dense via ring AllReduce
+  kHorovodAllReduce,  // embeddings communicated dense via AllReduce
   kHorovodAllGather,  // sparse AllGather for embedding grads
   kBytePsDense,       // dense-format PS for embeddings + priority schedule
   kParallaxPs,        // sharded sparse PS for embeddings (+ AllReduce dense)

@@ -273,9 +273,12 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     // at once: they travel as one fusion buffer (Horovod's tensor fusion).
     // The op flattens it and folds in error feedback on the comm thread,
     // runs the two-level AllReduce when a CommGroup exists (which falls back
-    // to the flat ring without a two-level topology) or the flat ring,
-    // scales by 1/N and unflattens. chunk_bytes splits the wire messages
-    // only; the result is bitwise-identical either way.
+    // to the flat AllReduce without a two-level topology) or the flat
+    // AllReduce, scales by 1/N and unflattens. Each flat AllReduce (the
+    // leaders' stage included) takes the route its α–β pick prices cheaper:
+    // the one-round one-shot for a latency-bound head, the ring otherwise
+    // or under a codec. chunk_bytes splits the ring's wire messages only;
+    // the result is bitwise-identical either way.
     dense_handles.push_back(scheduler.submit(
         {.name = dense_op(step),
          .priority = ctx.prio(Priorities::dense(step)),

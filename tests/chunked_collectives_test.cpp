@@ -6,10 +6,17 @@
 // chunk k against chunk 0; the ring's sums themselves are checked against
 // independent references in collectives_test and collective_fuzz_test. Also
 // exercises the chunked path under a codec and under recoverable fault
-// injection.
+// injection. These fabrics have no link costs, so the pick keeps the ring
+// (checked through the route counters).
+//
+// The dense AllReduce's other route, the one-shot (allgather plus rank-order
+// sum), must equal a serial sum in rank order 0..N-1 bit for bit on every
+// rank, and its α–β pick must follow the round model and agree across ranks.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "comm/chunk_plan.h"
@@ -18,6 +25,7 @@
 #include "comm/cluster.h"
 #include "comm/communicator.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace embrace::comm {
 namespace {
@@ -58,7 +66,13 @@ void expect_chunked_matches_monolithic(int world, int64_t elems) {
   });
 }
 
+obs::Counter& route_counter(const char* algo) {
+  return obs::counter(std::string("comm.allreduce_algo{algo=") + algo + "}");
+}
+
 TEST(ChunkedAllReduce, BitwiseEqualToMonolithicRing) {
+  const int64_t one_shot0 = route_counter("one_shot").value();
+  const int64_t ring0 = route_counter("ring").value();
   for (const int world : {1, 2, 3, 4}) {
     for (const int64_t elems :
          {int64_t{0}, int64_t{1}, int64_t{5}, int64_t{64}, int64_t{1000},
@@ -66,6 +80,9 @@ TEST(ChunkedAllReduce, BitwiseEqualToMonolithicRing) {
       expect_chunked_matches_monolithic(world, elems);
     }
   }
+  // Without link costs every call took the ring.
+  EXPECT_EQ(route_counter("one_shot").value(), one_shot0);
+  EXPECT_GT(route_counter("ring").value(), ring0);
 }
 
 // A non-null identity codec must be wire-transparent: same bits as the
@@ -115,6 +132,131 @@ TEST(ChunkedAllReduce, SurvivesRecoverableFaultInjection) {
           << "rank " << c.rank() << " seed " << seed;
     });
   }
+}
+
+TEST(DenseAllReducePick, FollowsTheRoundModel) {
+  constexpr LinkCost kWanSmall{50.0, 1250.0};  // 50 us, 10 Gbps
+  constexpr LinkCost kWanWide{50.0, 125.0};    // 50 us, 1 Gbps
+  const auto pick = [](int64_t floats, int n, const LinkCost& link) {
+    return pick_dense_allreduce(floats * int64_t{sizeof(float)}, n, link);
+  };
+  // The wan-small dense head: 6 rounds of α against one.
+  EXPECT_EQ(pick(1158, 4, kWanSmall), DenseAllReduceAlgo::kOneShot);
+  // The wan-wide head: the one-shot's 3·B·β outweighs the saved rounds.
+  EXPECT_EQ(pick(6110, 4, kWanWide), DenseAllReduceAlgo::kRing);
+  // A 2 MB table is bandwidth-bound on either link.
+  EXPECT_EQ(pick(int64_t{1} << 19, 4, kWanSmall), DenseAllReduceAlgo::kRing);
+  EXPECT_EQ(pick(int64_t{1} << 19, 4, kWanWide), DenseAllReduceAlgo::kRing);
+  for (const int64_t floats : {int64_t{0}, int64_t{1}, int64_t{1158},
+                               int64_t{1} << 19}) {
+    // No link costs: both routes cost nothing, and ties go to the ring.
+    for (const int n : {1, 2, 4, 8}) {
+      EXPECT_EQ(pick(floats, n, LinkCost{}), DenseAllReduceAlgo::kRing);
+    }
+    // Two ranks: the ring's 2α + B·β never beats the one-shot's α + B·β.
+    EXPECT_EQ(pick(floats, 2, kWanWide), DenseAllReduceAlgo::kOneShot);
+    EXPECT_EQ(pick(floats, 2, LinkCost{1.0, 0.0}),
+              DenseAllReduceAlgo::kOneShot);
+    // One rank: nothing to exchange, and the ring is a no-op.
+    EXPECT_EQ(pick(floats, 1, kWanSmall), DenseAllReduceAlgo::kRing);
+  }
+}
+
+// Every rank of a 2x2 two-tier fabric prices the same worst link, so every
+// rank picks the same route at every size; a node's sub-group sees only
+// its intra-node links.
+TEST(DenseAllReducePick, RanksOfATwoTierFabricAgree) {
+  constexpr int kWorld = 4;
+  // The worst link takes the inter tier's α and the intra tier's bandwidth.
+  constexpr LinkCost kIntra{5.0, 100.0};
+  constexpr LinkCost kInter{50.0, 1250.0};
+  Fabric fabric(kWorld);
+  simnet::ClusterTopology topo;
+  topo.nodes = 2;
+  topo.gpus_per_node = 2;
+  fabric.set_topology(topo, kIntra, kInter);
+  const std::vector<int64_t> sizes = {0, 64, 4632, 1 << 16, 1 << 21};
+  std::vector<std::vector<DenseAllReduceAlgo>> picks(kWorld);
+  run_cluster(fabric, [&](Communicator& c) {
+    const LinkCost worst = c.worst_link();
+    EXPECT_EQ(worst.alpha_us, kInter.alpha_us);
+    EXPECT_EQ(worst.bytes_per_us, kIntra.bytes_per_us);
+    auto& mine = picks[static_cast<size_t>(c.rank())];
+    for (const int64_t bytes : sizes) {
+      mine.push_back(pick_dense_allreduce(bytes, c.size(), worst));
+    }
+    std::optional<Communicator> node = c.split(fabric.node_of(c.rank()));
+    ASSERT_TRUE(node.has_value());
+    EXPECT_EQ(node->worst_link().alpha_us, kIntra.alpha_us);
+    EXPECT_EQ(node->worst_link().bytes_per_us, kIntra.bytes_per_us);
+    // And the routes really run: both sizes reduce to the same sum.
+    for (const int64_t elems : {int64_t{16}, int64_t{1} << 16}) {
+      std::vector<float> data(static_cast<size_t>(elems), 1.0f);
+      c.allreduce(data);
+      EXPECT_EQ(data.front(), static_cast<float>(kWorld));
+      EXPECT_EQ(data.back(), static_cast<float>(kWorld));
+    }
+  });
+  for (int r = 1; r < kWorld; ++r) EXPECT_EQ(picks[r], picks[0]);
+  // The sizes straddle the crossover, so the agreement is not vacuous.
+  EXPECT_EQ(picks[0].front(), DenseAllReduceAlgo::kOneShot);
+  EXPECT_EQ(picks[0].back(), DenseAllReduceAlgo::kRing);
+}
+
+// The one-shot sums the N buffers in rank order 0..N-1 on every rank: each
+// rank's result is bitwise the serial left fold, so the ranks agree.
+TEST(OneShotAllReduce, EqualsTheSerialRankOrderFoldOnEveryRank) {
+  for (const int world : {1, 2, 3, 4, 5, 8}) {
+    for (const int64_t elems :
+         {int64_t{0}, int64_t{1}, int64_t{5}, int64_t{1000}}) {
+      for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax}) {
+        std::vector<float> expected = make_data(0, elems, 31);
+        for (int r = 1; r < world; ++r) {
+          reduce_into(expected, make_data(r, elems, 31), op);
+        }
+        Fabric fabric(world);
+        run_cluster(fabric, [&](Communicator& c) {
+          std::vector<float> data = make_data(c.rank(), elems, 31);
+          one_shot_walk(c, data, op);
+          EXPECT_TRUE(bitwise_equal(data, expected))
+              << "world=" << world << " elems=" << elems
+              << " op=" << static_cast<int>(op) << " rank=" << c.rank();
+        });
+      }
+    }
+  }
+}
+
+// On a latency-bound link both public entries take the one-shot, at every
+// chunk size, with the same bits as the walk.
+TEST(OneShotAllReduce, PublicEntriesPickItOnALatencyBoundLink) {
+  constexpr int kWorld = 4;
+  constexpr int64_t kElems = 1158;
+  std::vector<float> expected = make_data(0, kElems, 41);
+  for (int r = 1; r < kWorld; ++r) {
+    reduce_into(expected, make_data(r, kElems, 41), ReduceOp::kSum);
+  }
+  Fabric fabric(kWorld);
+  fabric.set_uniform_link_cost(LinkCost{50.0, 1250.0});  // wan-small
+  const int64_t one_shot0 = route_counter("one_shot").value();
+  const int64_t ring0 = route_counter("ring").value();
+  run_cluster(fabric, [&](Communicator& c) {
+    const std::vector<float> data = make_data(c.rank(), kElems, 41);
+    std::vector<float> plain = data;
+    c.allreduce(plain);
+    EXPECT_TRUE(bitwise_equal(plain, expected));
+    for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+      std::vector<float> chunked = data;
+      allreduce_chunked(c, chunked, chunk);
+      EXPECT_TRUE(bitwise_equal(chunked, expected)) << "chunk=" << chunk;
+    }
+    // A codec keeps the ring: its owner-block projection is ring-specific.
+    const auto codec = make_codec(CodecKind::kIdentity);
+    std::vector<float> coded = data;
+    allreduce_chunked(c, coded, 0, ReduceOp::kSum, codec.get());
+  });
+  EXPECT_EQ(route_counter("one_shot").value() - one_shot0, 3 * kWorld);
+  EXPECT_EQ(route_counter("ring").value() - ring0, kWorld);
 }
 
 TEST(ChunkPlan, CoversEveryElementInOrder) {

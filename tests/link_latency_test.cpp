@@ -1,10 +1,10 @@
 // The fabric's α–β link emulation charges α as wire latency, paid once per
 // communication round, not once per send: on a 4-rank, zero-compute
 // fabric whose α (5 ms) dwarfs host noise, the pairwise collectives
-// (AlltoAllv, AllGatherv, AllGather) cost one round and the ring AllReduce
-// its 2(N−1) dependent rounds. Receives never see a message before its
-// ready time, and fault delays add to that time without holding the
-// sender.
+// (AlltoAllv, AllGatherv, AllGather) and the one-shot AllReduce cost one
+// round and the ring AllReduce its 2(N−1) dependent rounds. Receives never
+// see a message before its ready time, and fault delays add to that time
+// without holding the sender.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "comm/chunked_collectives.h"
 #include "comm/cluster.h"
 #include "comm/communicator.h"
 #include "comm/fabric.h"
@@ -93,14 +94,26 @@ TEST(LinkLatency, AllGatherCostsOneRound) {
   EXPECT_NEAR(us, kAlphaUs, 0.25 * kAlphaUs);
 }
 
+// The ring walk itself: on this latency-only link Communicator::allreduce
+// prices the one-shot cheaper and never takes the ring.
 TEST(LinkLatency, RingAllReduceCostsTwoRoundsPerPeer) {
+  const double us = median_round_us([](Communicator& comm) {
+    std::vector<float> data(16, 1.0f);
+    ring_walk(comm, data, /*chunk_bytes=*/0, ReduceOp::kSum,
+              /*codec=*/nullptr, /*gather=*/true);
+    ASSERT_FLOAT_EQ(data[0], static_cast<float>(kRanks));
+  });
+  const double rounds = 2.0 * (kRanks - 1);
+  EXPECT_NEAR(us, rounds * kAlphaUs, 0.25 * rounds * kAlphaUs);
+}
+
+TEST(LinkLatency, SmallAllReduceCostsOneRound) {
   const double us = median_round_us([](Communicator& comm) {
     std::vector<float> data(16, 1.0f);
     comm.allreduce(data);
     ASSERT_FLOAT_EQ(data[0], static_cast<float>(kRanks));
   });
-  const double rounds = 2.0 * (kRanks - 1);
-  EXPECT_NEAR(us, rounds * kAlphaUs, 0.25 * rounds * kAlphaUs);
+  EXPECT_NEAR(us, kAlphaUs, 0.25 * kAlphaUs);
 }
 
 TEST(LinkLatency, ShortTryRecvLeavesAnInFlightMessage) {

@@ -155,6 +155,11 @@ TEST(Trainer, ChunkedRunsAreBitwiseEqualToMonolithic) {
   // chunk_bytes is a pure wire knob: flipping it must not
   // perturb a single loss bit (DESIGN.md §10 — the chunked dense path uses
   // the same block partition and reduce order as the monolithic ring).
+  // Without link costs every dense AllReduce takes the ring.
+  obs::Counter& one_shot = obs::counter("comm.allreduce_algo{algo=one_shot}");
+  obs::Counter& ring = obs::counter("comm.allreduce_algo{algo=ring}");
+  const int64_t one_shot0 = one_shot.value();
+  const int64_t ring0 = ring.value();
   TrainConfig cfg = base_config();
   cfg.strategy = StrategyKind::kEmbRace;
   cfg.steps = 6;
@@ -173,6 +178,44 @@ TEST(Trainer, ChunkedRunsAreBitwiseEqualToMonolithic) {
   // And the chunked run still matches the synchronous oracle.
   const auto oracle = run_oracle(cfg, kWorkers);
   expect_losses_close(chunked_run.losses, oracle.losses, 2e-3f);
+  EXPECT_EQ(one_shot.value(), one_shot0);
+  EXPECT_GE(ring.value() - ring0, 2 * kWorkers * cfg.steps);
+}
+
+TEST(Trainer, OneShotDenseRouteMatchesOracle) {
+  // On a latency-only link every dense AllReduce (the head, Horovod-
+  // AllReduce's embedding gradient, Horovod-AllGather's stats) prices the
+  // one-shot below the ring. The losses stay oracle-close, and chunking
+  // moves no loss bit, because the pick ignores chunk_bytes.
+  constexpr int kWorkers = 4;
+  obs::Counter& one_shot = obs::counter("comm.allreduce_algo{algo=one_shot}");
+  obs::Counter& ring = obs::counter("comm.allreduce_algo{algo=ring}");
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRace, StrategyKind::kHorovodAllReduce,
+        StrategyKind::kHorovodAllGather}) {
+    TrainConfig cfg = base_config();
+    cfg.strategy = s;
+    cfg.steps = 4;
+    cfg.link_alpha_us = 1.0;
+    const auto oracle = run_oracle(cfg, kWorkers);
+    std::vector<float> chunk0;
+    for (const int64_t chunk : {int64_t{0}, int64_t{256}}) {
+      cfg.chunk_bytes = chunk;
+      SCOPED_TRACE(std::string(strategy_kind_name(s)) + " chunk=" +
+                   std::to_string(chunk));
+      const int64_t one_shot0 = one_shot.value();
+      const int64_t ring0 = ring.value();
+      const auto dist = run_distributed(cfg, kWorkers);
+      EXPECT_EQ(ring.value(), ring0);
+      EXPECT_GE(one_shot.value() - one_shot0, kWorkers * cfg.steps);
+      expect_losses_close(dist.losses, oracle.losses, 2e-3f);
+      if (chunk == 0) {
+        chunk0 = dist.losses;
+      } else {
+        EXPECT_EQ(dist.losses, chunk0);
+      }
+    }
+  }
 }
 
 TEST(Trainer, DenseRouteGridMatchesOracle) {
