@@ -201,9 +201,10 @@ int main(int argc, char** argv) {
                     obs::counter("sparse.algo.bytes" + label).value()));
   }
   // Dense AllReduce routes (DESIGN.md §10): every allreduce counts the
-  // route its α–β pick took, the one-round one-shot or the ring.
+  // route its α–β pick took, the one-round one-shot or the ring, and a
+  // dense head that rode a gradient collective instead counts as carried.
   std::printf("\ndense allreduce routes:\n");
-  for (const char* algo : {"one_shot", "ring"}) {
+  for (const char* algo : {"one_shot", "ring", "carried"}) {
     std::printf("  %-20s %6lld calls\n", algo,
                 static_cast<long long>(
                     obs::counter(std::string("comm.allreduce_algo{algo=") +

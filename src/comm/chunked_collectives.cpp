@@ -50,15 +50,21 @@ void one_shot_walk(Communicator& comm, std::span<float> data, ReduceOp op) {
   if (!mine.empty()) std::memcpy(mine.data(), data.data(), mine.size());
   const std::vector<SharedBytes> parts =
       comm.allgatherv_shared_impl(std::move(mine));
-  for (int r = 0; r < n; ++r) {
-    const std::span<const float> in =
-        float_view(*parts[static_cast<size_t>(r)]);
+  std::vector<std::span<const float>> in;
+  in.reserve(parts.size());
+  for (const SharedBytes& p : parts) in.push_back(float_view(*p));
+  fold_rank_order(data, in, op);
+}
+
+void fold_rank_order(std::span<float> data,
+                     std::span<const std::span<const float>> in, ReduceOp op) {
+  for (size_t r = 0; r < in.size(); ++r) {
     if (r == 0) {
-      EMBRACE_CHECK_EQ(in.size(), data.size(),
+      EMBRACE_CHECK_EQ(in[r].size(), data.size(),
                        << "float payload size mismatch");
-      std::copy(in.begin(), in.end(), data.begin());
+      std::copy(in[r].begin(), in[r].end(), data.begin());
     } else {
-      reduce_into(data, in, op);
+      reduce_into(data, in[r], op);
     }
   }
 }

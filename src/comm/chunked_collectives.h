@@ -65,9 +65,16 @@ void allreduce_chunked(Communicator& comm, std::span<float> data,
 void allreduce_walk(Communicator& comm, std::span<float> data,
                     int64_t chunk_bytes, ReduceOp op, const Codec* codec);
 
-// The one-shot route: the uninstrumented allgatherv_shared body, then an
-// in-place sum in rank order 0..N-1 from the shared receive views.
+// The one-shot route: the uninstrumented allgatherv_shared body, then
+// fold_rank_order over the shared receive views.
 void one_shot_walk(Communicator& comm, std::span<float> data, ReduceOp op);
+
+// The one-shot's local sum: data = in[0] op in[1] op ... op in[N-1], left
+// to right in rank order, every in[r] of data's size. A gradient AlltoAllv
+// that carries the dense head (DESIGN.md §10) folds the N head prefixes
+// through it too, so both routes add the same floats in the same order.
+void fold_rank_order(std::span<float> data,
+                     std::span<const std::span<const float>> in, ReduceOp op);
 
 // The ring route, also behind Communicator::reduce_scatter; it opens no
 // span and counts nothing. With `gather` false it stops after the

@@ -11,6 +11,7 @@
 #include "embrace/hot_row_cache.h"
 #include "embrace/partitioned_embedding.h"
 #include "nn/embedding.h"
+#include "obs/metrics.h"
 #include "sched/vertical.h"
 #include "tensor/index_ops.h"
 
@@ -49,6 +50,14 @@ int64_t dense_bytes(std::span<const SparseRows> grads) {
   int64_t bytes = 0;
   for (const SparseRows& g : grads) bytes += g.dense_byte_size();
   return bytes;
+}
+
+// Counts a dense head carried inside a gradient collective (DESIGN.md
+// §10), beside the one_shot and ring routes comm::allreduce_walk counts.
+void count_carried_head() {
+  static obs::Counter& carried =
+      obs::counter("comm.allreduce_algo{algo=carried}");
+  carried.increment();
 }
 
 // Table t's initial parameters come from the deterministic substream
@@ -221,18 +230,25 @@ class HybridSync : public EmbeddingSync {
   }
 
   // The op body for one gradient part per table: one AlltoAll to the
-  // owning shards, then each shard's optimizer step.
+  // owning shards, carrying the dense head when `dense` is non-empty, then
+  // each shard's optimizer step.
   std::function<void()> exchange(std::vector<SparseRows> parts,
                                  std::vector<const comm::Codec*> codecs,
-                                 nn::SparseStep step) {
-    return [this, step, parts = std::move(parts),
+                                 nn::SparseStep step,
+                                 std::span<float> dense = {}) {
+    return [this, step, dense, parts = std::move(parts),
             codecs = std::move(codecs)] {
       const std::vector<SparseRows> g = PartitionedEmbedding::exchange_grad(
-          ctx_.comm_ch, grad_sections(parts, codecs));
+          ctx_.comm_ch, grad_sections(parts, codecs), dense);
+      if (!dense.empty()) count_carried_head();
       for (int t = 0; t < tables(); ++t) {
         opts_[t]->apply(shards_[t]->shard(), g[t], step);
       }
     };
+  }
+
+  bool carries_dense(int64_t bytes) const override {
+    return ctx_.carries_dense(bytes);
   }
 
   // Whether the hot-row caches are on: their hotsync op then runs between
@@ -271,9 +287,11 @@ class NoVssSync final : public HybridSync {
   bool prioritized() const override { return false; }
 
   void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) override {
+                     std::vector<sched::Handle>& handles,
+                     std::span<float> dense) override {
     // The op's byte estimate is the gradient before error feedback.
-    const int64_t bytes = packed_bytes(grads);
+    const int64_t bytes =
+        packed_bytes(grads) + static_cast<int64_t>(dense.size_bytes());
     // Codec choice + error feedback happen here on the main thread; the
     // wire work runs on the comm thread. No VSS -> no coalescing pass: the
     // uncoalesced gradient goes on the wire; the shard coalesces before
@@ -282,7 +300,8 @@ class NoVssSync final : public HybridSync {
     handles.push_back(ctx_.submit(
         "embgrad", step, Priorities::prior(step), bytes,
         sched::OpKind::kOther,
-        exchange(std::move(grads), std::move(codecs), nn::SparseStep::kFull)));
+        exchange(std::move(grads), std::move(codecs), nn::SparseStep::kFull,
+                 dense)));
   }
 };
 
@@ -295,7 +314,8 @@ class EmbRaceSync final : public HybridSync {
   bool prioritized() const override { return true; }
 
   void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) override {
+                     std::vector<sched::Handle>& handles,
+                     std::span<float> dense) override {
     // Error feedback is applied to the WHOLE gradient before Algorithm 1's
     // vertical split: the residual row-aligns with the coalesced gradient,
     // and both the prior and delayed parts then carry already-projected
@@ -305,7 +325,8 @@ class EmbRaceSync final : public HybridSync {
     std::vector<const comm::Codec*> codecs = prepare_codecs(grads);
     // Algorithm 1 on the GPU-idle window after BP, per table.
     std::vector<SparseRows> prior, delayed;
-    int64_t prior_bytes = 0, delayed_bytes = 0;
+    int64_t prior_bytes = static_cast<int64_t>(dense.size_bytes());
+    int64_t delayed_bytes = 0;
     for (int t = 0; t < tables(); ++t) {
       auto split = sched::vertical_sparse_schedule(
           grads[t], all_cur_[t][static_cast<size_t>(ctx_.rank)],
@@ -315,10 +336,12 @@ class EmbRaceSync final : public HybridSync {
       prior.push_back(std::move(split.prior));
       delayed.push_back(std::move(split.delayed));
     }
+    // The dense head, when carried, rides prior: the step's first
+    // gradient AlltoAllv, which the dense optimizer step waits on anyway.
     handles.push_back(ctx_.submit(
         "prior", step, Priorities::prior(step), prior_bytes,
         sched::OpKind::kSparsePrior,
-        exchange(std::move(prior), codecs, nn::SparseStep::kPrior)));
+        exchange(std::move(prior), codecs, nn::SparseStep::kPrior, dense)));
     // delayed(s) holds only rows that no worker reads at step s+1, so it
     // rides the next lookup's AlltoAll instead of paying a round of its own
     // — the paper's "trickles out during FP". It can whenever a next lookup
@@ -381,7 +404,8 @@ class HorovodAllReduceSync final : public ReplicatedSync {
   explicit HorovodAllReduceSync(SyncContext& ctx) : ReplicatedSync(ctx) {}
 
   void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) override {
+                     std::vector<sched::Handle>& handles,
+                     std::span<float> /*dense*/) override {
     const int64_t bytes = dense_bytes(grads);
     handles.push_back(ctx_.submit(
         "embgrad", step, Priorities::prior(step), bytes,
@@ -427,27 +451,42 @@ class HorovodAllGatherSync final : public ReplicatedSync {
       : ReplicatedSync(ctx), algo_picker_(cost_params(ctx.cfg),
                                           ctx.cfg.chunk_bytes) {}
 
+  // The head rides the per-step stats allreduce, so the pick prices the
+  // two together: the stats allreduce is then exactly the one-shot.
+  bool carries_dense(int64_t bytes) const override {
+    return ctx_.carries_dense(
+        bytes + static_cast<int64_t>(kStatsFloats * ctx_.cfg.num_tables *
+                                     sizeof(float)));
+  }
+
   void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) override {
-    const int64_t bytes = packed_bytes(grads);
+                     std::vector<sched::Handle>& handles,
+                     std::span<float> dense) override {
+    const int64_t bytes =
+        packed_bytes(grads) + static_cast<int64_t>(dense.size_bytes());
     handles.push_back(ctx_.submit(
         "embgrad", step, Priorities::prior(step), bytes,
         sched::OpKind::kOther,
-        [this, grads = std::move(grads)] { reduce(grads); }));
+        [this, dense, grads = std::move(grads)] { reduce(grads, dense); }));
   }
 
  private:
+  static constexpr size_t kStatsFloats = 4;  // per table
+
   // The op body, on the comm thread.
-  void reduce(const std::vector<SparseRows>& grads) {
+  void reduce(const std::vector<SparseRows>& grads, std::span<float> dense) {
     // Rank-agreed decision inputs for every table in ONE allreduce, four
     // floats per table: per-rank distinct-row density d_r (their mean
     // prices per-rank payloads), Σ log1p(−d_r) (the union density the
     // merged result actually occupies — feeding the mean alone mispriced
     // the dense-ring crossover by up to workers× for disjoint hot sets),
     // and the |grad| mass for the codec policy. Every rank then makes the
-    // same (codec, format, algorithm) decision per table.
+    // same (codec, format, algorithm) decision per table. A carried dense
+    // head follows the stats; the allreduce is a one-shot (carries_dense),
+    // whose elementwise rank-order fold sums the head's floats bitwise as
+    // the head's own one-shot would.
     std::vector<float> stats;
-    stats.reserve(4 * grads.size());
+    stats.reserve(kStatsFloats * grads.size() + dense.size());
     for (const SparseRows& g : grads) {
       const double d = g.row_density();
       float sum_abs = 0.0f;
@@ -456,9 +495,15 @@ class HorovodAllGatherSync final : public ReplicatedSync {
                    {static_cast<float>(d), static_cast<float>(std::log1p(-d)),
                     sum_abs, static_cast<float>(g.values().flat().size())});
     }
+    stats.insert(stats.end(), dense.begin(), dense.end());
     ctx_.comm_ch.allreduce(stats);
+    if (!dense.empty()) {
+      std::copy(stats.end() - static_cast<std::ptrdiff_t>(dense.size()),
+                stats.end(), dense.begin());
+      count_carried_head();
+    }
     for (size_t t = 0; t < grads.size(); ++t) {
-      const float* st = &stats[4 * t];
+      const float* st = &stats[kStatsFloats * t];
       const sparse::DensityEstimate est =
           sparse::DensityEstimate::from_allreduced(
               static_cast<double>(st[0]), static_cast<double>(st[1]),
@@ -522,7 +567,8 @@ class ParallaxSync final : public PsSync {
   bool prioritized() const override { return false; }
 
   void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) override {
+                     std::vector<sched::Handle>& handles,
+                     std::span<float> /*dense*/) override {
     const int64_t bytes = packed_bytes(grads);
     handles.push_back(ctx_.submit(
         "embgrad", step, Priorities::prior(step), bytes,
@@ -541,7 +587,8 @@ class BytePsSync final : public PsSync {
   bool prioritized() const override { return true; }
 
   void exchange_grad(int step, std::vector<SparseRows> grads,
-                     std::vector<sched::Handle>& handles) override {
+                     std::vector<sched::Handle>& handles,
+                     std::span<float> /*dense*/) override {
     // The embedding is what the next FP needs first, so its push jumps the
     // dense-block queue.
     const int64_t bytes = dense_bytes(grads);
@@ -645,6 +692,12 @@ std::vector<const comm::Codec*> SyncContext::choose_codecs(
     codecs[i] = codec_policy->choose(static_cast<int>(i), mean_abs);
   }
   return codecs;
+}
+
+bool SyncContext::carries_dense(int64_t bytes) const {
+  return dense_codec == nullptr && grp == nullptr &&
+         comm::pick_dense_allreduce(bytes, workers, comm_ch.worst_link()) ==
+             comm::DenseAllReduceAlgo::kOneShot;
 }
 
 sched::Handle SyncContext::submit(const char* kind, int step, double priority,

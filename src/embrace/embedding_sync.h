@@ -34,6 +34,8 @@ namespace embrace::core {
 // delayed. EmbRace submits a standalone delayed op only at the last step,
 // or on every step with the hot-row cache on; otherwise delayed(s) rides
 // embdata(s+1), which runs after every op of step s and before prior(s+1).
+// A one-shot-priced dense head rides prior(s) (EmbeddingSync::
+// carries_dense), and then no dense op is submitted.
 // Every strategy runs at most one op per kind per step, with every table
 // inside it.
 struct Priorities {
@@ -107,6 +109,11 @@ struct SyncContext {
                        int64_t bytes, sched::OpKind op_kind,
                        std::function<void()> body);
   void enable_codec();
+  // Whether a dense head of `bytes` may ride a gradient collective instead
+  // of its own AllReduce (DESIGN.md §10): no dense codec, no CommGroup, and
+  // the one-shot is the flat AllReduce's pick. A pure function of the
+  // config and the fabric's link table, so every rank agrees.
+  bool carries_dense(int64_t bytes) const;
   // The per-op codec of each table's sparse gradient, grads[t]. Adaptive
   // mode needs each table's rank-agreed mean |grad|, so it costs ONE tiny
   // allreduce of every table's {sum |g|, count} on `ch` (the channel the
@@ -131,11 +138,18 @@ class EmbeddingSync {
   virtual std::vector<sched::Handle> lookup(int step, const Segmented& seg,
                                             const Segmented& seg_next,
                                             Tensor& emb_out) = 0;
+  // Whether exchange_grad carries a flattened dense head of `bytes`; false
+  // keeps the head on its own dense op. Rank-agreed.
+  virtual bool carries_dense(int64_t /*bytes*/) const { return false; }
   // Submits the gradient exchange of every table (`grads[t]`: this rank's
   // rows of table t, already scaled by 1/workers) and appends any handle
-  // to wait on.
+  // to wait on. A non-empty `dense` (only when carries_dense holds for its
+  // size) is this rank's flattened head; the one appended handle's op then
+  // also replaces it with the sum over ranks in rank order 0..N-1, bitwise
+  // the one-shot AllReduce's, and `dense` must stay alive until it runs.
   virtual void exchange_grad(int step, std::vector<SparseRows> grads,
-                             std::vector<sched::Handle>& handles) = 0;
+                             std::vector<sched::Handle>& handles,
+                             std::span<float> dense) = 0;
   // Submits the step's trailing ops, after every gradient exchange.
   virtual void step_end(int /*step*/) {}
   virtual bool prioritized() const = 0;

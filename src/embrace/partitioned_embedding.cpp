@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 
+#include "comm/chunked_collectives.h"
 #include "comm/sparse_collectives.h"
 #include "common/error.h"
 #include "embrace/hot_row_cache.h"
@@ -388,20 +389,40 @@ Tensor PartitionedEmbedding::distributed_lookup(
 }
 
 std::vector<SparseRows> PartitionedEmbedding::exchange_grad(
-    comm::Communicator& comm, std::span<const TableGrad> tables) {
+    comm::Communicator& comm, std::span<const TableGrad> tables,
+    std::span<float> dense) {
   const GradSections grads(comm, tables);
+  const size_t prefix = dense.size_bytes();
   std::vector<comm::Bytes> payloads(static_cast<size_t>(comm.size()));
   int64_t wire_bytes = 0;
   for (int r = 0; r < comm.size(); ++r) {
     comm::Bytes& buf = payloads[static_cast<size_t>(r)];
-    buf = grads.pack(comm, r, 0);
-    wire_bytes += static_cast<int64_t>(buf.size());
+    buf = grads.pack(comm, r, prefix);
+    if (prefix > 0) std::memcpy(buf.data(), dense.data(), prefix);
+    wire_bytes += static_cast<int64_t>(buf.size() - prefix);
   }
   grad_bytes_counter().add(wire_bytes);
   auto received = comm.alltoallv(std::move(payloads));
-  const std::vector<std::span<const std::byte>> parts(received.begin(),
-                                                      received.end());
+  // Each payload is [dense prefix][table sections...]; the prefix sits at
+  // offset 0, so it reads in place as floats.
+  std::vector<std::span<const std::byte>> parts;
+  std::vector<std::span<const float>> heads;
+  parts.reserve(received.size());
+  heads.reserve(received.size());
+  for (size_t r = 0; r < received.size(); ++r) {
+    const std::span<const std::byte> buf(received[r]);
+    if (buf.size() < prefix) {
+      throw WireFormatError("gradient payload from rank " + std::to_string(r) +
+                            " shorter than its " + std::to_string(prefix) +
+                            "-byte dense prefix (" +
+                            std::to_string(buf.size()) + " bytes)");
+    }
+    heads.push_back(
+        {reinterpret_cast<const float*>(buf.data()), dense.size()});
+    parts.push_back(buf.subspan(prefix));
+  }
   std::vector<SparseRows> out = grads.sum(parts);
+  comm::fold_rank_order(dense, heads, comm::ReduceOp::kSum);
   for (comm::Bytes& buf : received) comm.pool().release(std::move(buf));
   return out;
 }

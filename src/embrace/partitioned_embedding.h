@@ -141,8 +141,17 @@ class PartitionedEmbedding {
   // upstream. With a cache, the hot-row part of `part` is accumulated into
   // the cache's pending sync buffer instead of travelling; the returned
   // shard gradient covers cold rows only.
+  //
+  // `dense` rides the same AlltoAllv (DESIGN.md §10, §16): this rank's
+  // buffer is a fixed-size prefix of every peer's payload, ahead of the
+  // table sections, and on return `dense` holds the sum of every rank's in
+  // rank order 0..N-1 (comm::fold_rank_order), bitwise what
+  // comm::one_shot_walk returns. Every rank passes the same size; a payload
+  // shorter than its prefix throws WireFormatError. Empty: the plain
+  // exchange's wire.
   static std::vector<SparseRows> exchange_grad(
-      comm::Communicator& comm, std::span<const TableGrad> tables);
+      comm::Communicator& comm, std::span<const TableGrad> tables,
+      std::span<float> dense = {});
   SparseRows exchange_grad(comm::Communicator& comm, const SparseRows& part,
                            const EmbedExchange& ex = {}) const;
 

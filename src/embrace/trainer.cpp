@@ -5,7 +5,8 @@
 // (embedding_sync.h). EmbRace's hybrid communication and 2D scheduling
 // follow the paper (§4, §5.1):
 //   * column-partitioned embeddings with two AlltoAll passes per step (the
-//     lookup one also carries the previous step's delayed gradient),
+//     lookup one also carries the previous step's delayed gradient, the
+//     gradient one the dense head when its AllReduce would be one-shot),
 //   * a negotiated priority queue + communication thread,
 //   * Algorithm 1's prior/delayed gradient split with the modified Adam.
 //
@@ -180,9 +181,10 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
   auto head_params = head->parameters();
   auto dense_opt = make_dense_optim(cfg, head_params);
   // The fused dense-gradient buffer, in BP-emission (reverse parameter)
-  // order, and the comm-thread state of its one op per step. The main
-  // thread waits on that op before touching the gradients again, so one
-  // buffer and error-feedback residual (DESIGN.md §14) serve every step.
+  // order, and the comm-thread state of the one op per step that reduces
+  // it. The main thread waits on that op before touching the buffer again,
+  // so one buffer and error-feedback residual (DESIGN.md §14) serve every
+  // step.
   std::vector<Tensor*> bp_grads;
   for (size_t i = head_params.size(); i-- > 0;) {
     bp_grads.push_back(&head_params[i]->grad);
@@ -190,6 +192,10 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
   FusionGroup dense_grads(std::move(bp_grads));
   std::vector<float> dense_flat;
   std::vector<float> dense_residual;
+  // Decided once, rank-agreed (DESIGN.md §10): a head whose flat AllReduce
+  // would be the one-round one-shot rides the step's gradient collective
+  // instead of its own op, when the strategy has one to carry it.
+  const bool carry_dense = sync->carries_dense(dense_grads.byte_size());
 
   auto loader = data::make_corpus_loader(corpus_config(cfg), rank,
                                          cfg.batch_per_worker);
@@ -270,40 +276,42 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     // sync after it, whatever the submission order.
     sched::NegotiatedScheduler::Group grad_ops = scheduler.open_group();
     // The head's FP and BP are one call, so every head gradient is final
-    // at once: they travel as one fusion buffer (Horovod's tensor fusion).
-    // The op flattens it and folds in error feedback on the comm thread,
-    // runs the two-level AllReduce when a CommGroup exists (which falls back
-    // to the flat AllReduce without a two-level topology) or the flat
-    // AllReduce, scales by 1/N and unflattens. Each flat AllReduce (the
-    // leaders' stage included) takes the route its α–β pick prices cheaper:
-    // the one-round one-shot for a latency-bound head, the ring otherwise
-    // or under a codec. chunk_bytes splits the ring's wire messages only;
-    // the result is bitwise-identical either way.
-    dense_handles.push_back(scheduler.submit(
-        {.name = dense_op(step),
-         .priority = ctx.prio(Priorities::dense(step)),
-         .bytes = dense_grads.byte_size(),
-         .kind = sched::OpKind::kDense},
-        [&comm_ch, &dense_grads, &dense_flat, &dense_residual, grp,
-         dense_codec, chunk_bytes = cfg.chunk_bytes, inv_n] {
-          dense_flat = dense_grads.flatten();
-          if (dense_codec != nullptr && !dense_codec->lossless()) {
-            // Zeroed on first use; the buffer's size never changes.
-            dense_residual.resize(dense_flat.size());
-            comm::codec_error_feedback(*dense_codec, dense_flat,
-                                       dense_residual);
-          }
-          if (grp != nullptr) {
-            comm::hierarchical_allreduce(*grp, dense_flat,
-                                         comm::ReduceOp::kSum, dense_codec,
-                                         chunk_bytes);
-          } else {
-            comm::allreduce_chunked(comm_ch, dense_flat, chunk_bytes,
-                                    comm::ReduceOp::kSum, dense_codec);
-          }
-          for (float& v : dense_flat) v *= inv_n;
-          dense_grads.unflatten(dense_flat);
-        }));
+    // at once: they travel as one fusion buffer (Horovod's tensor fusion),
+    // summed over ranks by the step's comm ops and scaled by 1/N once this
+    // thread has waited on them.
+    dense_flat = dense_grads.flatten();
+    if (!carry_dense) {
+      // The head's own op folds in error feedback, then runs the two-level
+      // AllReduce when a CommGroup exists (which falls back to the flat
+      // AllReduce without a two-level topology) or the flat AllReduce.
+      // Each flat AllReduce (the leaders' stage included) takes the route
+      // its α–β pick prices cheaper: the one-round one-shot for a
+      // latency-bound head, the ring otherwise or under a codec.
+      // chunk_bytes splits the ring's wire messages only; the result is
+      // bitwise-identical either way.
+      dense_handles.push_back(scheduler.submit(
+          {.name = dense_op(step),
+           .priority = ctx.prio(Priorities::dense(step)),
+           .bytes = dense_grads.byte_size(),
+           .kind = sched::OpKind::kDense},
+          [&comm_ch, &dense_flat, &dense_residual, grp, dense_codec,
+           chunk_bytes = cfg.chunk_bytes] {
+            if (dense_codec != nullptr && !dense_codec->lossless()) {
+              // Zeroed on first use; the buffer's size never changes.
+              dense_residual.resize(dense_flat.size());
+              comm::codec_error_feedback(*dense_codec, dense_flat,
+                                         dense_residual);
+            }
+            if (grp != nullptr) {
+              comm::hierarchical_allreduce(*grp, dense_flat,
+                                           comm::ReduceOp::kSum, dense_codec,
+                                           chunk_bytes);
+            } else {
+              comm::allreduce_chunked(comm_ch, dense_flat, chunk_bytes,
+                                      comm::ReduceOp::kSum, dense_codec);
+            }
+          }));
+    }
 
     // --- sparse gradient communication, every table in one call ---
     std::vector<SparseRows> emb_grads;
@@ -313,7 +321,13 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
                              gather_rows(d_emb, seg.pos[t]));
       emb_grads.back().scale_(inv_n);
     }
-    sync->exchange_grad(step, std::move(emb_grads), emb_handles);
+    // A carried head rides the exchange's one collective, whose op then
+    // also delivers the summed head: one round and one op fewer per step,
+    // the same bytes, and the one-shot's sum order.
+    sync->exchange_grad(step, std::move(emb_grads), emb_handles,
+                        carry_dense ? std::span<float>(dense_flat)
+                                    : std::span<float>());
+    if (carry_dense) dense_handles = emb_handles;
     sync->step_end(step);
     grad_ops.close();
     }  // end comm-issue scope
@@ -322,6 +336,8 @@ void worker_main(const TrainConfig& cfg, int workers, SharedState& shared,
     timed_wait(dense_handles, "stall.dense");
     {
       obs::PhaseScope opt(acc, obs::Phase::kOptimizer);
+      for (float& v : dense_flat) v *= inv_n;
+      dense_grads.unflatten(dense_flat);
       dense_opt->step();
     }
     timed_wait(emb_handles, "stall.sparse");

@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 
+#include "comm/chunked_collectives.h"
 #include "comm/cluster.h"
 #include "comm/codec.h"
 #include "common/error.h"
@@ -245,6 +246,73 @@ TEST_P(PartitionedP, LookupCarryingGradEqualsSeparateExchanges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, PartitionedP, ::testing::Values(1, 2, 4));
+
+TEST(PartitionedEmbedding, ExchangeGradCarriesDenseBitwise) {
+  // A gradient exchange that carries a dense buffer as every payload's
+  // prefix must return, on every rank, the buffer bitwise as
+  // comm::one_shot_walk sums it and the table gradients bitwise as the
+  // plain exchange does; an empty buffer is the plain exchange.
+  constexpr int64_t kVocab = 25, kDim = 8;
+  constexpr int kTables = 2;
+  for (const int world : {1, 2, 3, 4}) {
+    for (const size_t head : {size_t{0}, size_t{37}}) {
+      SCOPED_TRACE("world=" + std::to_string(world) +
+                   " head=" + std::to_string(head));
+      comm::run_cluster(world, [&](comm::Communicator& comm) {
+        const int me = comm.rank();
+        std::vector<std::unique_ptr<PartitionedEmbedding>> shards;
+        std::vector<SparseRows> grads;
+        for (int t = 0; t < kTables; ++t) {
+          shards.push_back(std::make_unique<PartitionedEmbedding>(
+              kVocab, kDim, me, world,
+              Rng(5).split(static_cast<uint64_t>(t))));
+          const int n = 3 + me + t;
+          std::vector<int64_t> ids;
+          for (int i = 0; i < n; ++i) ids.push_back((t * 11 + i * 4) % kVocab);
+          Rng vr = Rng(13).split(static_cast<uint64_t>(me * kTables + t));
+          grads.emplace_back(kVocab, ids,
+                             Tensor::randn({static_cast<int64_t>(n), kDim}, vr));
+        }
+        std::vector<TableGrad> parts;
+        for (int t = 0; t < kTables; ++t) {
+          parts.push_back({.table = *shards[t], .part = grads[t]});
+        }
+        // Rank-scaled values, so a different sum order shows in the bits.
+        std::vector<float> dense(head);
+        Rng hr = Rng(17).split(static_cast<uint64_t>(me));
+        for (float& v : dense) {
+          v = static_cast<float>(hr.next_normal()) * (1.0f + 100.0f * me);
+        }
+        std::vector<float> one_shot = dense;
+        comm::one_shot_walk(comm, one_shot, comm::ReduceOp::kSum);
+        const auto plain = PartitionedEmbedding::exchange_grad(comm, parts);
+        const auto carried =
+            PartitionedEmbedding::exchange_grad(comm, parts, dense);
+        EXPECT_TRUE(bitwise_equal(dense, one_shot)) << "rank " << me;
+        ASSERT_EQ(carried.size(), plain.size());
+        for (int t = 0; t < kTables; ++t) {
+          EXPECT_EQ(carried[t].indices(), plain[t].indices()) << "table " << t;
+          EXPECT_TRUE(bitwise_equal(carried[t].values().flat(),
+                                    plain[t].values().flat()))
+              << "table " << t;
+        }
+      });
+    }
+  }
+  // Rank 0 sends a 4-byte prefix and one empty section (24 bytes) where
+  // rank 1 expects a 64-byte prefix; rank 0, expecting 4 bytes, reads rank
+  // 1's zero prefix as a section header and finds trailing bytes.
+  comm::run_cluster(2, [&](comm::Communicator& comm) {
+    const PartitionedEmbedding pe(kVocab, kDim, comm.rank(), 2, Rng(5));
+    const SparseRows none = SparseRows::empty(kVocab, kDim);
+    const TableGrad part{.table = pe, .part = none};
+    std::vector<float> dense(comm.rank() == 0 ? 1 : 16, 0.0f);
+    EXPECT_THROW(PartitionedEmbedding::exchange_grad(
+                     comm, std::span(&part, 1), dense),
+                 WireFormatError)
+        << "rank " << comm.rank();
+  });
+}
 
 TEST(Partitioned, RejectsTooNarrowDim) {
   Rng rng(1);

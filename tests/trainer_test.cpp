@@ -185,11 +185,14 @@ TEST(Trainer, ChunkedRunsAreBitwiseEqualToMonolithic) {
 TEST(Trainer, OneShotDenseRouteMatchesOracle) {
   // On a latency-only link every dense AllReduce (the head, Horovod-
   // AllReduce's embedding gradient, Horovod-AllGather's stats) prices the
-  // one-shot below the ring. The losses stay oracle-close, and chunking
-  // moves no loss bit, because the pick ignores chunk_bytes.
+  // one-shot below the ring. EmbRace's and Horovod-AllGather's heads then
+  // ride their gradient collective instead, once per rank and step. The
+  // losses stay oracle-close, and chunking moves no loss bit, because the
+  // pick ignores chunk_bytes.
   constexpr int kWorkers = 4;
   obs::Counter& one_shot = obs::counter("comm.allreduce_algo{algo=one_shot}");
   obs::Counter& ring = obs::counter("comm.allreduce_algo{algo=ring}");
+  obs::Counter& carried = obs::counter("comm.allreduce_algo{algo=carried}");
   for (const StrategyKind s :
        {StrategyKind::kEmbRace, StrategyKind::kHorovodAllReduce,
         StrategyKind::kHorovodAllGather}) {
@@ -205,9 +208,14 @@ TEST(Trainer, OneShotDenseRouteMatchesOracle) {
                    std::to_string(chunk));
       const int64_t one_shot0 = one_shot.value();
       const int64_t ring0 = ring.value();
+      const int64_t carried0 = carried.value();
       const auto dist = run_distributed(cfg, kWorkers);
       EXPECT_EQ(ring.value(), ring0);
-      EXPECT_GE(one_shot.value() - one_shot0, kWorkers * cfg.steps);
+      EXPECT_GE(one_shot.value() - one_shot0 + carried.value() - carried0,
+                kWorkers * cfg.steps);
+      EXPECT_EQ(carried.value() - carried0,
+                s == StrategyKind::kHorovodAllReduce ? 0
+                                                     : kWorkers * cfg.steps);
       expect_losses_close(dist.losses, oracle.losses, 2e-3f);
       if (chunk == 0) {
         chunk0 = dist.losses;
@@ -215,6 +223,41 @@ TEST(Trainer, OneShotDenseRouteMatchesOracle) {
         EXPECT_EQ(dist.losses, chunk0);
       }
     }
+  }
+}
+
+TEST(Trainer, CarriedDenseHeadDropsTheDenseOp) {
+  // On a latency-only link the one-shot-priced head rides the step's
+  // gradient collective: EmbRace's prior AlltoAllv, noVSS's embgrad
+  // AlltoAllv, Horovod-AllGather's stats allreduce. No "dense/" op is
+  // logged, so a step runs EmbRace's embdata and prior (plus the last
+  // step's delayed op), noVSS's embdata and embgrad, and Horovod-
+  // AllGather's one embgrad op; the losses stay oracle-close.
+  constexpr int kWorkers = 4;
+  obs::Counter& carried = obs::counter("comm.allreduce_algo{algo=carried}");
+  for (const StrategyKind s :
+       {StrategyKind::kEmbRace, StrategyKind::kEmbRaceNoVss,
+        StrategyKind::kHorovodAllGather}) {
+    SCOPED_TRACE(strategy_kind_name(s));
+    TrainConfig cfg = base_config();
+    cfg.strategy = s;
+    cfg.num_tables = 2;
+    cfg.min_sentence_len = 4;
+    cfg.steps = 4;
+    cfg.link_alpha_us = 1.0;
+    const int64_t carried0 = carried.value();
+    const auto dist = run_distributed(cfg, kWorkers);
+    int dense_ops = 0;
+    for (const auto& r : dist.comm_log) {
+      dense_ops += r.name.rfind("dense/", 0) == 0;
+    }
+    EXPECT_EQ(dense_ops, 0);
+    const size_t ops_per_step = s == StrategyKind::kHorovodAllGather ? 1 : 2;
+    EXPECT_EQ(dist.comm_log.size(),
+              ops_per_step * static_cast<size_t>(cfg.steps) +
+                  (s == StrategyKind::kEmbRace ? 1 : 0));
+    EXPECT_EQ(carried.value() - carried0, int64_t{kWorkers} * cfg.steps);
+    expect_losses_close(dist.losses, run_oracle(cfg, kWorkers).losses, 2e-3f);
   }
 }
 
@@ -378,43 +421,57 @@ TEST(Trainer, ControlTrafficPerStep) {
 }
 
 TEST(Trainer, EmbRaceCommLogFollows2dOrder) {
-  TrainConfig cfg = base_config();
-  cfg.strategy = StrategyKind::kEmbRace;
-  cfg.num_tables = 2;
-  cfg.min_sentence_len = 4;
-  cfg.steps = 3;
-  const auto stats = run_distributed(cfg, 2);
-  ASSERT_FALSE(stats.comm_log.empty());
-  // Per step: prior and embdata before the dense op. Step s's delayed
-  // part rides embdata(s+1), so that op runs after dense(s) and before
-  // prior(s+1). The last step has no lookup to ride: its delayed op runs
-  // on its own, after its dense op, and it is the only delayed op. Each op
-  // carries both tables.
-  auto position = [&](const std::string& name) {
-    for (size_t i = 0; i < stats.comm_log.size(); ++i) {
-      if (stats.comm_log[i].name == name) return static_cast<int>(i);
+  // Without link costs the head keeps its own dense op. Per step: prior
+  // and embdata before the dense op. Step s's delayed part rides
+  // embdata(s+1), so that op runs after dense(s) and before prior(s+1).
+  // The last step has no lookup to ride: its delayed op runs on its own,
+  // after its dense op, and it is the only delayed op. Each op carries
+  // both tables. On a latency-only link the head rides prior(s) instead:
+  // no dense op, and prior(s) runs before embdata(s+1).
+  for (const bool carried : {false, true}) {
+    SCOPED_TRACE(carried ? "1us link" : "no link costs");
+    TrainConfig cfg = base_config();
+    cfg.strategy = StrategyKind::kEmbRace;
+    cfg.num_tables = 2;
+    cfg.min_sentence_len = 4;
+    cfg.steps = 3;
+    if (carried) cfg.link_alpha_us = 1.0;
+    const auto stats = run_distributed(cfg, 2);
+    ASSERT_FALSE(stats.comm_log.empty());
+    auto position = [&](const std::string& name) {
+      for (size_t i = 0; i < stats.comm_log.size(); ++i) {
+        if (stats.comm_log[i].name == name) return static_cast<int>(i);
+      }
+      ADD_FAILURE() << "op not found in log: " << name;
+      return -1;
+    };
+    // The op that ends step s's gradient phase.
+    const auto phase_end = [&](const std::string& step) {
+      return position((carried ? "prior/s" : "dense/s") + step);
+    };
+    for (int s = 0; s < cfg.steps; ++s) {
+      const std::string step = std::to_string(s);
+      EXPECT_LT(position("embdata/s" + step), phase_end(step));
+      if (!carried) {
+        EXPECT_LT(position("prior/s" + step), position("dense/s" + step));
+      }
+      if (s + 1 < cfg.steps) {
+        const std::string next = std::to_string(s + 1);
+        EXPECT_LT(phase_end(step), position("embdata/s" + next));
+        EXPECT_LT(position("embdata/s" + next), position("prior/s" + next));
+      }
     }
-    ADD_FAILURE() << "op not found in log: " << name;
-    return -1;
-  };
-  for (int s = 0; s < cfg.steps; ++s) {
-    const std::string step = std::to_string(s);
-    EXPECT_LT(position("embdata/s" + step), position("dense/s" + step));
-    EXPECT_LT(position("prior/s" + step), position("dense/s" + step));
-    if (s + 1 < cfg.steps) {
-      const std::string next = std::to_string(s + 1);
-      EXPECT_LT(position("dense/s" + step), position("embdata/s" + next));
-      EXPECT_LT(position("embdata/s" + next), position("prior/s" + next));
+    const std::string last = std::to_string(cfg.steps - 1);
+    EXPECT_LT(phase_end(last), position("delayed/s" + last));
+    EXPECT_LT(position("prior/s" + last), position("delayed/s" + last));
+    int delayed_ops = 0, dense_ops = 0;
+    for (const auto& r : stats.comm_log) {
+      delayed_ops += r.name.rfind("delayed/", 0) == 0;
+      dense_ops += r.name.rfind("dense/", 0) == 0;
     }
+    EXPECT_EQ(delayed_ops, 1);
+    EXPECT_EQ(dense_ops, carried ? 0 : cfg.steps);
   }
-  const std::string last = std::to_string(cfg.steps - 1);
-  EXPECT_LT(position("dense/s" + last), position("delayed/s" + last));
-  EXPECT_LT(position("prior/s" + last), position("delayed/s" + last));
-  int delayed_ops = 0;
-  for (const auto& r : stats.comm_log) {
-    delayed_ops += r.name.rfind("delayed/", 0) == 0;
-  }
-  EXPECT_EQ(delayed_ops, 1);
 }
 
 TEST(Trainer, EmbRaceCarriesDelayedInNextLookup) {
